@@ -173,9 +173,26 @@ impl Block {
     }
 
     /// Dot product with another block of the same shape (full contraction).
+    /// Eight independent partial sums let the loop vectorize; the order of
+    /// summation is fixed, so the result is deterministic.
     pub fn dot(&self, other: &Block) -> f64 {
         assert_eq!(self.shape, other.shape, "dot: shape mismatch");
-        self.data.iter().zip(&other.data).map(|(a, b)| a * b).sum()
+        const LANES: usize = 8;
+        let a = self.data.chunks_exact(LANES);
+        let b = other.data.chunks_exact(LANES);
+        let tail: f64 = a
+            .remainder()
+            .iter()
+            .zip(b.remainder())
+            .map(|(x, y)| x * y)
+            .sum();
+        let mut acc = [0.0f64; LANES];
+        for (x, y) in a.zip(b) {
+            for l in 0..LANES {
+                acc[l] += x[l] * y[l];
+            }
+        }
+        acc.iter().sum::<f64>() + tail
     }
 
     /// Frobenius norm.

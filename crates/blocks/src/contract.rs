@@ -449,7 +449,8 @@ pub fn contract_into(plan: &ContractionPlan, a: &Block, b: &Block, alpha_c: f64,
 /// `C = alpha_c * C + A * B` under `plan` (`alpha_c = 1.0` implements the
 /// fused contraction-accumulate of SIAL's `+=`).
 ///
-/// The hot path: each operand is classified (see [`OperandFold`]) and read
+/// A rank-0 output with both operands in the same index order takes a dot
+/// product path. Otherwise the hot path: each operand is classified (see [`OperandFold`]) and read
 /// *in place* through a [`MatView`] — plain for `Identity`, transposed for
 /// `FoldedTranspose`, and a strided permuted view for `Permute`, whose
 /// reorder then folds into the GEMM's pack traversal instead of
@@ -474,6 +475,18 @@ pub fn contract_into_ctx(
     let expect = plan.output_shape(a.shape(), b.shape());
     assert_eq!(*c.shape(), expect, "C shape mismatch");
     ctx.stats.contractions += 1;
+
+    // A full contraction whose operands share one index order is the dot
+    // product of the two payloads, read in place: no views, no packing, no
+    // GEMM. (`no_fold` ablation runs keep the materializing GEMM path.)
+    if !ctx.no_fold && plan.c_labels.is_empty() && plan.a_labels == plan.b_labels {
+        ctx.stats.permutes_avoided += 2;
+        ctx.stats.bytes_not_copied += ((a.len() + b.len()) * std::mem::size_of::<f64>()) as u64;
+        let d = a.dot(b);
+        let c0 = &mut c.data_mut()[0];
+        *c0 = if alpha_c == 0.0 { d } else { alpha_c * *c0 + d };
+        return;
+    }
 
     let nc = plan.n_contracted;
     let nf_a = plan.a_perm.len() - nc;
@@ -699,6 +712,47 @@ mod tests {
         let b = ramp(Shape::new(&[3, 4]), 0.9);
         let c = contract(&plan, &a, &b);
         assert!((c.as_scalar() - a.dot(&b)).abs() < 1e-9);
+    }
+
+    /// The mp2 energy step `$t(i,a,j,b) = T(i,a,j,b) * Vd(i,a,j,b)`: same
+    /// index order on both sides, so a dot product with no packing — even
+    /// into an output drawn stale (NaN) from the pool.
+    #[test]
+    fn full_contraction_same_order_takes_dot_path() {
+        use crate::pool::{BlockPool, PoolConfig};
+        let plan = ContractionPlan::infer(&[], &[0, 1, 2, 3], &[0, 1, 2, 3]).unwrap();
+        let a = ramp(Shape::new(&[8, 8, 8, 8]), 0.2);
+        let b = ramp(Shape::new(&[8, 8, 8, 8]), 0.9);
+        let want = naive_contract(&plan, &a, &b).as_scalar();
+        let pool = BlockPool::new(PoolConfig::default());
+        let mut stale = pool.acquire_raw(Shape::scalar()).unwrap();
+        stale.fill(f64::NAN);
+        pool.release(stale);
+        let mut ctx = ContractCtx::with_pool(pool.clone());
+        let mut c = pool.acquire_scratch(Shape::scalar()).unwrap();
+        assert!(c.as_scalar().is_nan());
+        contract_into_ctx(&mut ctx, &plan, &a, &b, 0.0, &mut c);
+        let rel = |got: f64| (got - want).abs() / want.abs();
+        assert!(rel(c.as_scalar()) <= 1e-14, "{} vs {want}", c.as_scalar());
+        // `+=` accumulates onto the existing value.
+        contract_into_ctx(&mut ctx, &plan, &a, &b, 1.0, &mut c);
+        assert!((c.as_scalar() - 2.0 * want).abs() <= 2e-14 * want.abs());
+        assert_eq!(ctx.stats.contractions, 2);
+        assert_eq!(ctx.pack, PackStats::default(), "the dot path packs nothing");
+    }
+
+    #[test]
+    fn full_contraction_in_different_orders_keeps_gemm_path() {
+        let plan = ContractionPlan::infer(&[], &[0, 1, 2], &[2, 0, 1]).unwrap();
+        let a = ramp(Shape::new(&[3, 4, 5]), 0.2);
+        let b = ramp(Shape::new(&[5, 3, 4]), 0.9);
+        let mut ctx = ContractCtx::new();
+        let mut c = Block::zeros(Shape::scalar());
+        contract_into_ctx(&mut ctx, &plan, &a, &b, 0.0, &mut c);
+        let want = naive_contract(&plan, &a, &b).as_scalar();
+        assert!((c.as_scalar() - want).abs() <= 1e-12 * want.abs().max(1.0));
+        assert_eq!(ctx.stats.contractions, 1);
+        assert!(ctx.pack.packed_bytes > 0, "GEMM path expected");
     }
 
     #[test]

@@ -49,8 +49,9 @@ pub use gemm::{
 pub use handle::BlockHandle;
 pub use permute::{
     apply_permutation, invert_permutation, is_identity_permutation, permute, permute_into,
+    permute_pooled,
 };
-pub use pool::{BlockPool, PoolConfig, PoolStats, PooledBlock};
+pub use pool::{BlockPool, Custody, PoolConfig, PoolExhausted, PoolStats, PooledBlock};
 pub use shape::{Shape, MAX_RANK};
-pub use slice::{extract_slice, insert_slice, SliceError, SliceSpec};
+pub use slice::{extract_slice, extract_slice_into, insert_slice, SliceError, SliceSpec};
 pub use view::{AxisCursor, AxisGroup, MatView};

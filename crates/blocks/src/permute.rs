@@ -13,6 +13,7 @@
 //! for `no_fold` ablation runs.
 
 use crate::block::Block;
+use crate::pool::{BlockPool, PoolExhausted};
 use crate::shape::MAX_RANK;
 
 /// True if `perm` is `[0, 1, .., n-1]`.
@@ -60,6 +61,19 @@ pub fn permute(input: &Block, perm: &[usize]) -> Block {
     let mut out = vec![0.0f64; out_shape.len()];
     permute_into(input, perm, &mut out);
     Block::from_data(out_shape, out)
+}
+
+/// [`permute`] into storage drawn from `pool` with
+/// [`BlockPool::acquire_scratch`]. [`permute_into`] writes every element of
+/// the destination, so stale recycled contents are never read.
+pub fn permute_pooled(
+    pool: &BlockPool,
+    input: &Block,
+    perm: &[usize],
+) -> Result<Block, PoolExhausted> {
+    let mut out = pool.acquire_scratch(input.shape().permuted(perm))?;
+    permute_into(input, perm, out.data_mut());
+    Ok(out)
 }
 
 /// Cache-blocked permutation into caller-provided storage (`dst.len()` must
@@ -243,6 +257,39 @@ mod tests {
         let inv = invert_permutation(&perm);
         let round = permute(&permute(&b, &perm), &inv);
         assert_eq!(b, round);
+    }
+
+    #[test]
+    fn pooled_permute_overwrites_stale_storage_bitwise() {
+        // Every tier of `permute_into`: trailing run, tiled transpose (with
+        // partial tiles), strided gather, identity, and the mp2 interleave.
+        let cases: [(&[usize], &[usize]); 6] = [
+            (&[3, 5, 8], &[1, 0, 2]),
+            (&[2, 37, 33], &[0, 2, 1]),
+            (&[4, 3, 5, 6], &[3, 1, 0, 2]),
+            (&[6, 7], &[0, 1]),
+            (&[8, 8, 8, 8], &[0, 3, 2, 1]),
+            (&[3, 4, 5], &[2, 0, 1]),
+        ];
+        for (dims, perm) in cases {
+            let b = Block::from_fn(Shape::new(dims), |i| {
+                i.iter().fold(0.5, |acc, &x| acc * 7.0 + x as f64)
+            });
+            let pool = BlockPool::new(crate::pool::PoolConfig::default());
+            let mut stale = pool.acquire_raw(*b.shape()).unwrap();
+            stale.fill(f64::NAN);
+            pool.release(stale);
+            let got = permute_pooled(&pool, &b, perm).unwrap();
+            assert_eq!(pool.stats().hits, 1, "{dims:?}: storage not recycled");
+            let want = permute(&b, perm);
+            assert_eq!(got.shape(), want.shape());
+            let same = got
+                .data()
+                .iter()
+                .zip(want.data())
+                .all(|(g, w)| g.to_bits() == w.to_bits());
+            assert!(same, "{dims:?} {perm:?}: pooled permute differs");
+        }
     }
 
     #[test]

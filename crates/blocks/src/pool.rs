@@ -9,11 +9,21 @@
 //!
 //! The pool is deliberately single-threaded: each worker owns its own pool,
 //! exactly as each MPI process owned its own stacks in the original SIP.
+//!
+//! Accounting follows custody ([`Custody`]). Storage handed out for the
+//! worker's temps and scratch is *live* until it comes back through
+//! [`BlockPool::release`] or leaves the worker's custody through
+//! [`BlockPool::detach`] (a put, a home or local insert): either way it
+//! stops counting against the budget exactly once. Storage for a block store
+//! ([`BlockPool::acquire_stored`]) is never live: it reuses parked storage
+//! when its size class has some. Storage the pool never handed out can still
+//! be released — it is adopted onto a free stack — but only while live plus
+//! free bytes stay within the budget; beyond that it is dropped.
 
 use crate::block::Block;
 use crate::shape::Shape;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
@@ -74,11 +84,34 @@ impl fmt::Display for PoolExhausted {
 
 impl std::error::Error for PoolExhausted {}
 
+/// Who keeps storage drawn from the pool.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Custody {
+    /// The worker's temps and scratch ([`BlockPool::acquire_scratch`]):
+    /// counted live against `max_bytes` until released or detached.
+    Worker,
+    /// A block store — a home or local block, a block in flight
+    /// ([`BlockPool::acquire_stored`]): never counted live.
+    Store,
+}
+
 struct PoolInner {
     config: PoolConfig,
     /// Free stacks keyed by element count (the size class).
     stacks: BTreeMap<usize, Vec<Vec<f64>>>,
+    /// Payload addresses of the storage handed out and not yet released or
+    /// detached — what `live_blocks`/`live_bytes` count.
+    live: HashSet<usize>,
     stats: PoolStats,
+}
+
+/// The identity of a block's storage while it is live.
+fn storage_id(block: &Block) -> usize {
+    block.data().as_ptr() as usize
+}
+
+fn block_bytes(elems: usize) -> usize {
+    elems * std::mem::size_of::<f64>()
 }
 
 impl PoolInner {
@@ -86,22 +119,29 @@ impl PoolInner {
         self.acquire_with(shape, true)
     }
 
-    fn acquire_with(&mut self, shape: Shape, zero: bool) -> Result<Block, PoolExhausted> {
-        let elems = shape.len();
-        let bytes = elems * std::mem::size_of::<f64>();
-        if let Some(stack) = self.stacks.get_mut(&elems) {
-            if let Some(mut data) = stack.pop() {
-                if zero {
-                    data.fill(0.0);
-                }
-                self.stats.hits += 1;
-                self.stats.live_blocks += 1;
-                self.stats.live_bytes += bytes;
-                self.stats.free_bytes -= bytes;
-                self.stats.peak_bytes = self.stats.peak_bytes.max(self.stats.live_bytes);
-                return Ok(Block::from_data(shape, data));
-            }
+    /// Pops parked storage of `shape`'s size class, if any.
+    fn pop_free(&mut self, shape: Shape, zero: bool) -> Option<Block> {
+        let mut data = self.stacks.get_mut(&shape.len())?.pop()?;
+        if zero {
+            data.fill(0.0);
         }
+        self.stats.hits += 1;
+        self.stats.free_bytes -= block_bytes(data.len());
+        Some(Block::from_data(shape, data))
+    }
+
+    fn acquire_stored(&mut self, shape: Shape, zero: bool) -> Block {
+        self.pop_free(shape, zero).unwrap_or_else(|| {
+            self.stats.misses += 1;
+            Block::zeros(shape)
+        })
+    }
+
+    fn acquire_with(&mut self, shape: Shape, zero: bool) -> Result<Block, PoolExhausted> {
+        if let Some(block) = self.pop_free(shape, zero) {
+            return Ok(self.hand_out(block));
+        }
+        let bytes = block_bytes(shape.len());
         let total = self.stats.live_bytes + self.stats.free_bytes;
         if total + bytes > self.config.max_bytes {
             // Try reclaiming free storage of other classes before failing,
@@ -114,7 +154,7 @@ impl PoolInner {
                 }
                 if let Some(stack) = self.stacks.get_mut(&class) {
                     while let Some(v) = stack.pop() {
-                        freed += v.len() * std::mem::size_of::<f64>();
+                        freed += block_bytes(v.len());
                         drop(v);
                         if total + bytes - freed <= self.config.max_bytes {
                             break;
@@ -132,26 +172,39 @@ impl PoolInner {
             }
         }
         self.stats.misses += 1;
+        Ok(self.hand_out(Block::zeros(shape)))
+    }
+
+    fn hand_out(&mut self, block: Block) -> Block {
+        self.live.insert(storage_id(&block));
         self.stats.live_blocks += 1;
-        self.stats.live_bytes += bytes;
+        self.stats.live_bytes += block_bytes(block.len());
         self.stats.peak_bytes = self.stats.peak_bytes.max(self.stats.live_bytes);
-        Ok(Block::zeros(shape))
+        block
+    }
+
+    /// Stops counting `block` as live if it is storage this pool handed out.
+    fn detach(&mut self, block: &Block) {
+        if self.live.remove(&storage_id(block)) {
+            self.stats.live_blocks -= 1;
+            self.stats.live_bytes -= block_bytes(block.len());
+        }
     }
 
     /// Parks a block's storage on its size-class stack. Blocks that were not
     /// acquired from this pool are *adopted*: their storage becomes reusable
-    /// and the live counters saturate rather than underflow (the SIP hands
-    /// freshly computed blocks to the pool when a temp dies).
+    /// (the SIP hands freshly computed blocks to the pool when a temp dies).
+    /// Storage that would push live plus free bytes over the budget is
+    /// dropped instead of parked.
     fn release(&mut self, block: Block) {
-        let bytes = block.len() * std::mem::size_of::<f64>();
-        let elems = block.len();
-        if self.stats.live_blocks > 0 {
-            self.stats.live_blocks -= 1;
-            self.stats.live_bytes = self.stats.live_bytes.saturating_sub(bytes);
+        self.detach(&block);
+        let bytes = block_bytes(block.len());
+        if self.stats.live_bytes + self.stats.free_bytes + bytes > self.config.max_bytes {
+            return;
         }
         self.stats.free_bytes += bytes;
         self.stacks
-            .entry(elems)
+            .entry(block.len())
             .or_default()
             .push(block.into_data());
     }
@@ -170,6 +223,7 @@ impl BlockPool {
             inner: Rc::new(RefCell::new(PoolInner {
                 config,
                 stacks: BTreeMap::new(),
+                live: HashSet::new(),
                 stats: PoolStats::default(),
             })),
         }
@@ -204,9 +258,26 @@ impl BlockPool {
         self.inner.borrow_mut().acquire_with(shape, false)
     }
 
+    /// Storage for a block store ([`Custody::Store`]): parked storage of
+    /// the size class when there is some, fresh storage otherwise. Never
+    /// counted live, so never refused; zero-filled when `zeroed` (otherwise
+    /// recycled storage keeps stale contents, as with [`acquire_scratch`]).
+    ///
+    /// [`acquire_scratch`]: BlockPool::acquire_scratch
+    pub fn acquire_stored(&self, shape: Shape, zeroed: bool) -> Block {
+        self.inner.borrow_mut().acquire_stored(shape, zeroed)
+    }
+
     /// Returns a raw block's storage to its size-class stack.
     pub fn release(&self, block: Block) {
         self.inner.borrow_mut().release(block);
+    }
+
+    /// Records that `block` left the worker's custody (a put, a home or local
+    /// insert): if it is storage this pool handed out, it stops counting as
+    /// live. Idempotent; a no-op for storage the pool never handed out.
+    pub fn detach(&self, block: &Block) {
+        self.inner.borrow_mut().detach(block);
     }
 
     /// Current counters.
@@ -244,10 +315,7 @@ impl PooledBlock {
     /// the live-byte accounting is reduced as if released).
     pub fn into_block(mut self) -> Block {
         let block = self.block.take().expect("block already taken");
-        let mut inner = self.pool.borrow_mut();
-        let bytes = block.len() * std::mem::size_of::<f64>();
-        inner.stats.live_blocks -= 1;
-        inner.stats.live_bytes -= bytes;
+        self.pool.borrow_mut().detach(&block);
         block
     }
 }
@@ -366,6 +434,71 @@ mod tests {
         let st = p.stats();
         assert_eq!(st.live_blocks, 0);
         assert_eq!(st.free_bytes, 0);
+    }
+
+    #[test]
+    fn release_drops_storage_over_budget() {
+        let p = pool(1024); // room for 128 doubles
+                            // Adopted storage the pool never handed out: the first fits, the
+                            // second would take free bytes past the budget and is dropped.
+        p.release(Block::zeros(Shape::new(&[100])));
+        p.release(Block::zeros(Shape::new(&[100])));
+        let st = p.stats();
+        assert_eq!(st.free_bytes, 800);
+        assert_eq!(p.size_classes(), 1);
+        // Parked plus handed-out storage never exceeds the budget.
+        let a = p.acquire_raw(Shape::new(&[100])).unwrap();
+        p.release(Block::zeros(Shape::new(&[16])));
+        let st = p.stats();
+        assert!(st.live_bytes + st.free_bytes <= 1024, "{st:?}");
+        p.release(a);
+        let st = p.stats();
+        assert_eq!((st.live_bytes, st.free_bytes), (0, 800 + 128));
+    }
+
+    #[test]
+    fn adopted_storage_never_uncounts_live_blocks() {
+        let p = pool(1 << 20);
+        let _a = p.acquire_raw(Shape::new(&[100])).unwrap();
+        p.release(Block::zeros(Shape::new(&[100])));
+        let st = p.stats();
+        assert_eq!((st.live_blocks, st.live_bytes), (1, 800));
+    }
+
+    #[test]
+    fn detach_frees_budget_once() {
+        let p = pool(1600); // two 100-double blocks
+        let a = p.acquire_raw(Shape::new(&[100])).unwrap();
+        p.detach(&a);
+        p.detach(&a); // idempotent
+        assert_eq!(p.stats().live_bytes, 0);
+        // `a` left custody, so two more blocks of its size fit the budget.
+        let b = p.acquire_raw(Shape::new(&[100])).unwrap();
+        let c = p.acquire_raw(Shape::new(&[100])).unwrap();
+        assert_eq!(p.stats().live_bytes, 1600);
+        // Handing the detached storage back adopts it only within budget.
+        p.release(a);
+        assert_eq!(p.stats().free_bytes, 0);
+        p.release(b);
+        p.release(c);
+        let st = p.stats();
+        assert_eq!((st.live_blocks, st.live_bytes, st.free_bytes), (0, 0, 1600));
+    }
+
+    #[test]
+    fn store_custody_recycles_without_counting_live() {
+        let p = pool(800); // one 100-double block
+        let held = p.acquire_raw(Shape::new(&[100])).unwrap();
+        // The worker's budget is full, yet a store acquisition succeeds...
+        let stored = p.acquire_stored(Shape::new(&[100]), true);
+        assert!(stored.data().iter().all(|&x| x == 0.0));
+        assert_eq!(p.stats().live_bytes, 800);
+        // ...and takes parked storage when there is some.
+        p.release(held);
+        let again = p.acquire_stored(Shape::new(&[100]), false);
+        let st = p.stats();
+        assert_eq!((st.hits, st.live_bytes, st.free_bytes), (1, 0, 0));
+        assert_eq!(again.len(), 100);
     }
 
     #[test]

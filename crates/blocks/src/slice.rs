@@ -110,14 +110,30 @@ impl SliceSpec {
 /// Extracts the window `spec` of `block` into a new, densely packed block —
 /// the SIAL slicing assignment.
 pub fn extract_slice(block: &Block, spec: &SliceSpec) -> Result<Block, SliceError> {
+    let mut out = Block::zeros(spec.slice_shape());
+    extract_slice_into(block, spec, &mut out)?;
+    Ok(out)
+}
+
+/// [`extract_slice`] into caller-provided storage of the window's shape
+/// (e.g. recycled pool storage: every element is overwritten).
+pub fn extract_slice_into(
+    block: &Block,
+    spec: &SliceSpec,
+    out: &mut Block,
+) -> Result<(), SliceError> {
     spec.validate(block.shape())?;
-    let out_shape = spec.slice_shape();
+    if out.shape() != &spec.slice_shape() {
+        return Err(SliceError::ShapeMismatch);
+    }
     let rank = spec.rank();
     if rank == 0 {
-        return Ok(block.clone());
+        out.data_mut()[0] = block.data()[0];
+        return Ok(());
     }
     let src_strides = block.shape().strides();
-    let mut out = Vec::with_capacity(out_shape.len());
+    let dst = out.data_mut();
+    let mut dst_off = 0usize;
 
     // Copy contiguous runs along the last dimension.
     let run = spec.extents[rank - 1];
@@ -128,12 +144,13 @@ pub fn extract_slice(block: &Block, spec: &SliceSpec) -> Result<Block, SliceErro
         for d in 0..rank - 1 {
             base += (spec.offsets[d] + counters[d]) * src_strides[d];
         }
-        out.extend_from_slice(&block.data()[base..base + run]);
+        dst[dst_off..dst_off + run].copy_from_slice(&block.data()[base..base + run]);
+        dst_off += run;
         // Advance outer odometer.
         let mut d = rank - 1;
         loop {
             if d == 0 {
-                return Ok(Block::from_data(out_shape, out));
+                return Ok(());
             }
             d -= 1;
             counters[d] += 1;

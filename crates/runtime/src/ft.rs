@@ -138,7 +138,8 @@ impl FtState {
     /// message to send. This is the single construction point for flights:
     /// first sends, journal replays after a rank death, and the fault-free
     /// path (via [`flight_msg`]) all build the same shape. The retained
-    /// pending payload and the wire payload share one allocation.
+    /// pending payload and the wire payload share one allocation. `epoch`
+    /// is the sender's barrier epoch, stamped on PUTs.
     pub(crate) fn arm_flight(
         &mut self,
         op: OpId,
@@ -146,6 +147,7 @@ impl FtState {
         data: BlockHandle,
         mode: PutMode,
         served: bool,
+        epoch: u64,
     ) -> SipMsg {
         self.pending.insert(
             op.0,
@@ -159,18 +161,19 @@ impl FtState {
                 attempts: 0,
             },
         );
-        flight_msg(op, key, data, mode, served)
+        flight_msg(op, key, data, mode, served, epoch)
     }
 }
 
-/// Builds the wire message for a PUT (distributed home) or PREPARE (served,
-/// I/O server) flight.
+/// Builds the wire message for a PUT (distributed home, stamped with the
+/// sender's barrier `epoch`) or PREPARE (served, I/O server) flight.
 pub(crate) fn flight_msg(
     op: OpId,
     key: BlockKey,
     data: BlockHandle,
     mode: PutMode,
     served: bool,
+    epoch: u64,
 ) -> SipMsg {
     if served {
         SipMsg::PrepareBlock {
@@ -185,6 +188,7 @@ pub(crate) fn flight_msg(
             data,
             mode,
             op,
+            epoch: Some(epoch),
         }
     }
 }

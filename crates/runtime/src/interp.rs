@@ -17,7 +17,9 @@ use crate::msg::{BarrierKind, BlockKey, SipMsg};
 use crate::registry::{SuperArg, SuperEnv};
 use crate::scheduler::{eval_bool, eval_scalar};
 use crate::worker::{Fetch, LoopFrame, PardoState, Worker};
-use sia_blocks::{contract_into_ctx, permute, Block, BlockHandle, ContractionPlan};
+use sia_blocks::{
+    contract_into_ctx, permute_pooled, Block, BlockHandle, BlockPool, ContractionPlan, Custody,
+};
 use sia_bytecode::{
     Arg, ArrayId, ArrayKind, BlockRef, BoolExpr, IndexId, Instruction as I, ScalarExpr,
 };
@@ -105,6 +107,9 @@ impl Worker {
         )
     }
 
+    /// Zeroed storage for a block the interpreter computes, from the pool:
+    /// the worker's own (counted live) for a temp, store storage for a
+    /// local/static destination, which leaves the worker's custody.
     fn alloc_for(
         &mut self,
         array: ArrayId,
@@ -113,7 +118,7 @@ impl Worker {
         if self.layout.array_kind(array) == ArrayKind::Temp {
             Ok(self.pool.acquire_raw(shape)?)
         } else {
-            Ok(Block::zeros(shape))
+            Ok(self.pool.acquire_stored(shape, true))
         }
     }
 
@@ -406,9 +411,11 @@ impl Worker {
                 let op = self.derive_op(pc, &key);
                 let home = self.dist_home(&key);
                 if home == self.endpoint.rank() {
-                    self.apply_put_deduped(key, data, *mode, op);
+                    // The payload joins the home store.
+                    self.pool.detach(&data);
+                    self.apply_put_deduped(key, data, *mode, op, Some(self.dist_epoch));
                 } else {
-                    self.send_put(home, key, data, *mode, op)?;
+                    self.send_flight(home, key, data, *mode, op, false)?;
                 }
                 Ok(Some(pc + 1))
             }
@@ -426,7 +433,7 @@ impl Worker {
                 }
                 let op = self.derive_op(pc, &key);
                 let home = self.layout.home_of_served(&key);
-                self.send_prepare(home, key, data, *mode, op)?;
+                self.send_flight(home, key, data, *mode, op, true)?;
                 // The freshest copy is at the server now.
                 self.mem.cache_invalidate(&key);
                 Ok(Some(pc + 1))
@@ -501,23 +508,30 @@ impl Worker {
             }
             I::BlockCopy { dest, src } => {
                 let data = self.read_block(src.array, &src.indices, wait)?;
-                let permuted = permute_to(dest, src, &data)?;
+                let permuted = permute_to(&self.pool, dest, src, &data)?;
                 if BlockHandle::ptr_eq(&permuted, &data) {
                     self.mem.note_share(&permuted);
                 }
                 self.write_block(dest.array, &dest.indices, permuted)?;
+                self.release_handle(data);
                 Ok(Some(pc + 1))
             }
             I::BlockAccumulate { dest, src, sign } => {
                 let data = self.read_block(src.array, &src.indices, wait)?;
-                let permuted = permute_to(dest, src, &data)?;
+                let permuted = permute_to(&self.pool, dest, src, &data)?;
                 let sign = *sign;
-                self.modify_block(dest.array, &dest.indices, |b| b.axpy(sign, &permuted))?;
+                self.modify_block(dest.array, &dest.indices, |h, pool, custody| {
+                    Ok(h.cow_axpy(pool, custody, sign, &permuted)?)
+                })?;
+                self.release_handle(permuted);
+                self.release_handle(data);
                 Ok(Some(pc + 1))
             }
             I::BlockScale { dest, factor } => {
                 let v = self.eval_expr(factor);
-                self.modify_block(dest.array, &dest.indices, |b| b.scale(v))?;
+                self.modify_block(dest.array, &dest.indices, |h, pool, custody| {
+                    Ok(h.cow_scale(pool, custody, v)?)
+                })?;
                 Ok(Some(pc + 1))
             }
             I::BlockContract {
@@ -573,6 +587,11 @@ impl Worker {
                         out.fill(0.0);
                         self.write_block(dest.array, &dest.indices, out)?;
                     }
+                    for got in [aget, bget] {
+                        if let BlockGet::Ready(h) = got {
+                            self.release_handle(h);
+                        }
+                    }
                     return Ok(Some(pc + 1));
                 }
                 let (BlockGet::Ready(ablk), BlockGet::Ready(bblk)) = (aget, bget) else {
@@ -597,8 +616,10 @@ impl Worker {
                             contract_into_ctx(&mut ctx, &plan, &ablk, &bblk, 0.0, &mut out);
                             self.write_block(dest.array, &dest.indices, out)?;
                         } else {
-                            self.modify_block(dest.array, &dest.indices, |d| {
+                            self.modify_block(dest.array, &dest.indices, |h, pool, custody| {
+                                let (d, copied) = h.make_unique(pool, custody)?;
                                 contract_into_ctx(&mut ctx, &plan, &ablk, &bblk, 1.0, d);
+                                Ok(copied)
                             })?;
                         }
                     } else {
@@ -610,6 +631,8 @@ impl Worker {
                 })();
                 self.contract_ctx = ctx;
                 result?;
+                self.release_handle(ablk);
+                self.release_handle(bblk);
                 Ok(Some(pc + 1))
             }
             I::ScalarAssign { dest, expr } => {
@@ -628,6 +651,7 @@ impl Worker {
                     ));
                 }
                 let v = b.data()[0];
+                self.release_handle(b);
                 if *accumulate {
                     self.scalars[dest.index()] += v;
                 } else {
@@ -889,17 +913,18 @@ impl Worker {
                             "sub-addressed execute argument is not supported".into(),
                         ));
                     }
-                    // Kernels take blocks by value: unwrap the handle, deep
-                    // copying only if another holder still shares it.
-                    let unwrap = |w: &mut Worker, h: BlockHandle| -> Block {
-                        if h.is_shared() {
-                            w.mem.note_deep_copy();
-                        }
-                        h.into_block()
-                    };
+                    // Kernels take blocks by value: unwrap the handle, first
+                    // copying into pooled storage (counted) if another holder
+                    // still shares it.
+                    let unwrap =
+                        |w: &mut Worker, mut h: BlockHandle| -> Result<Block, RuntimeError> {
+                            let (_, copied) = h.make_unique(&w.pool, Custody::Worker)?;
+                            w.mem.note_deep_copy(copied);
+                            Ok(h.into_block())
+                        };
                     let block = match kind {
                         ArrayKind::Temp => match self.temps.remove(&r.array) {
-                            Some((k, b)) if k == key => unwrap(self, b),
+                            Some((k, b)) if k == key => unwrap(self, b)?,
                             Some((_, old)) => {
                                 // Stale temp from another iteration: recycle
                                 // and hand the kernel a fresh zero block.
@@ -909,8 +934,8 @@ impl Worker {
                             None => self.alloc_for(r.array, self.layout.block_shape(&r.indices))?,
                         },
                         ArrayKind::Local | ArrayKind::Static => match self.mem.local_take(&key) {
-                            Some(b) => unwrap(self, b),
-                            None => Block::zeros(self.layout.block_shape(&r.indices)),
+                            Some(b) => unwrap(self, b)?,
+                            None => self.pool.acquire_raw(self.layout.block_shape(&r.indices))?,
                         },
                         other => {
                             return Err(RuntimeError::BadProgram(format!(
@@ -951,6 +976,7 @@ impl Worker {
                 }
                 (Origin::Local(key, _array), SuperArg::Block { block, .. }) => {
                     let b = std::mem::replace(block, Block::scalar(0.0));
+                    self.pool.detach(&b);
                     self.mem.local_insert(key, b.into());
                 }
                 (Origin::Scalar(i), SuperArg::Scalar(v)) => {
@@ -972,10 +998,11 @@ fn labels(indices: &[IndexId]) -> Vec<u32> {
     indices.iter().map(|i| i.0).collect()
 }
 
-/// Permutes `data` (laid out per `src` ref order) into `dest` ref order.
-/// The identity permutation shares the handle — `T(i,j) = V(i,j)` moves no
-/// payload bytes.
+/// Permutes `data` (laid out per `src` ref order) into `dest` ref order, in
+/// storage drawn from the worker's pool. The identity permutation shares the
+/// handle — `T(i,j) = V(i,j)` moves no payload bytes.
 fn permute_to(
+    pool: &BlockPool,
     dest: &BlockRef,
     src: &BlockRef,
     data: &BlockHandle,
@@ -998,5 +1025,5 @@ fn permute_to(
             "copy with mismatched index sets".into(),
         ));
     };
-    Ok(BlockHandle::new(permute(data, &perm)))
+    Ok(BlockHandle::new(permute_pooled(pool, data, &perm)?))
 }

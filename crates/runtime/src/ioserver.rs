@@ -449,6 +449,7 @@ impl IoServer {
                             norm,
                             mode,
                             op,
+                            ..
                         } => {
                             self.prepare_absent_deduped(key, norm, mode, op);
                             let _ = self.endpoint.send(src, SipMsg::PrepareAck { key, op });

@@ -137,7 +137,8 @@ pub struct SipConfig {
     pub cache_blocks: usize,
     /// How many upcoming loop iterations the prefetcher requests ahead.
     pub prefetch_depth: usize,
-    /// Per-worker block pool budget in bytes.
+    /// Per-worker block pool budget in bytes. `Sip::run` refuses a program
+    /// whose dry-run per-worker estimate exceeds it.
     pub pool_bytes: usize,
     /// Per-I/O-server in-memory cache capacity (blocks).
     pub server_cache_blocks: usize,
@@ -341,7 +342,8 @@ impl SipConfigBuilder {
         self
     }
 
-    /// Per-worker block pool budget in bytes.
+    /// Per-worker block pool budget in bytes. `Sip::run` refuses a program
+    /// whose dry-run per-worker estimate exceeds it.
     pub fn pool_bytes(mut self, n: usize) -> Self {
         self.config.pool_bytes = n;
         self

@@ -208,10 +208,10 @@ impl Sip {
 
     /// Runs a program to completion.
     ///
-    /// Performs the dry run first; if a `memory_budget` is configured and the
-    /// estimate exceeds it, returns [`RuntimeError::Infeasible`] *without*
-    /// launching the run (reporting a sufficient worker count, as the paper
-    /// prescribes).
+    /// Performs the dry run first; if the estimate exceeds what a worker can
+    /// hold — `pool_bytes`, or `memory_budget` when that is smaller — returns
+    /// [`RuntimeError::Infeasible`] *without* launching the run (reporting a
+    /// sufficient worker count, as the paper prescribes).
     pub fn run(
         &self,
         program: Program,
@@ -250,16 +250,18 @@ impl Sip {
             })
             .unwrap_or_default(),
         );
-        if let Some(budget) = self.config.memory_budget {
-            if !estimate.feasible(budget) {
-                let sufficient =
-                    dryrun::sufficient_workers(&layout, &self.config, budget).unwrap_or(usize::MAX);
-                return Err(RuntimeError::Infeasible {
-                    needed_per_worker: estimate.per_worker_bytes,
-                    budget,
-                    sufficient_workers: sufficient,
-                });
-            }
+        // A worker holds at most its pool's bytes, or the enforced budget
+        // when that is tighter.
+        let pool = self.config.pool_bytes as u64;
+        let budget = self.config.memory_budget.map_or(pool, |b| b.min(pool));
+        if !estimate.feasible(budget) {
+            let sufficient =
+                dryrun::sufficient_workers(&layout, &self.config, budget).unwrap_or(usize::MAX);
+            return Err(RuntimeError::Infeasible {
+                needed_per_worker: estimate.per_worker_bytes,
+                budget,
+                sufficient_workers: sufficient,
+            });
         }
 
         // ---- run directory ---------------------------------------------------

@@ -584,6 +584,7 @@ impl Master {
                             data: data.clone(),
                             mode: PutMode::Replace,
                             op: OpId::NONE,
+                            epoch: None,
                         },
                     );
                     if track {
@@ -686,6 +687,7 @@ impl Master {
                             data: data.clone(),
                             mode: PutMode::Replace,
                             op: OpId::NONE,
+                            epoch: None,
                         },
                     );
                 }
@@ -770,6 +772,7 @@ impl Master {
                     data: data.clone(),
                     mode: PutMode::Replace,
                     op: OpId::NONE,
+                    epoch: None,
                 },
             );
             pending.insert(key, (home, data));

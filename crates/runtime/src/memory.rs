@@ -43,9 +43,12 @@ pub struct MemoryStats {
     pub clones_avoided: u64,
     /// Payload bytes those avoided clones would have copied.
     pub bytes_clone_avoided: u64,
-    /// Data-plane deep copies that still happened (CoW on a shared handle,
-    /// boundary materialization). Zero on the in-process fast path.
+    /// Data-plane deep copies that still happened: copy-on-write of a
+    /// shared handle before a mutation, or before handing a block to a
+    /// super instruction by value. Zero on the in-process fast path.
     pub deep_copies: u64,
+    /// Payload bytes those deep copies copied.
+    pub bytes_deep_copied: u64,
     /// Cache evictions forced by budget pressure (beyond LRU capacity).
     pub budget_evictions: u64,
 }
@@ -67,6 +70,7 @@ pub struct BlockManager {
     clones_avoided: u64,
     bytes_clone_avoided: u64,
     deep_copies: u64,
+    bytes_deep_copied: u64,
     budget_evictions: u64,
 }
 
@@ -85,6 +89,7 @@ impl BlockManager {
             clones_avoided: 0,
             bytes_clone_avoided: 0,
             deep_copies: 0,
+            bytes_deep_copied: 0,
             budget_evictions: 0,
         }
     }
@@ -109,9 +114,13 @@ impl BlockManager {
         self.bytes_clone_avoided += h.heap_bytes();
     }
 
-    /// Records a data-plane deep copy that could not be avoided.
-    pub fn note_deep_copy(&mut self) {
-        self.deep_copies += 1;
+    /// Records a data-plane deep copy of `bytes` payload bytes (a no-op for
+    /// 0, which copy-on-write helpers report when nothing was shared).
+    pub fn note_deep_copy(&mut self, bytes: u64) {
+        if bytes > 0 {
+            self.deep_copies += 1;
+            self.bytes_deep_copied += bytes;
+        }
     }
 
     /// Starts logging cache evictions (for the event tracer). Off by
@@ -288,21 +297,6 @@ impl BlockManager {
         self.local.get_mut(key)
     }
 
-    /// CoW-mutable access, inserting `make()` first if absent (charged).
-    pub fn local_mut_or_insert(
-        &mut self,
-        key: BlockKey,
-        make: impl FnOnce() -> BlockHandle,
-    ) -> &mut BlockHandle {
-        if !self.local.contains_key(&key) {
-            let h = make();
-            self.pinned_bytes += h.heap_bytes();
-            self.local.insert(key, h);
-            self.note_usage();
-        }
-        self.local.get_mut(&key).expect("just inserted")
-    }
-
     /// Takes a local/static block out of the manager (super-instruction
     /// marshalling hands the kernel exclusive ownership).
     pub fn local_take(&mut self, key: &BlockKey) -> Option<BlockHandle> {
@@ -382,6 +376,7 @@ impl BlockManager {
             clones_avoided: self.clones_avoided,
             bytes_clone_avoided: self.bytes_clone_avoided,
             deep_copies: self.deep_copies,
+            bytes_deep_copied: self.bytes_deep_copied,
             budget_evictions: self.budget_evictions,
         }
     }

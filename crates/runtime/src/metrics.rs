@@ -359,6 +359,7 @@ impl Merge for crate::memory::MemoryStats {
         self.clones_avoided += other.clones_avoided;
         self.bytes_clone_avoided += other.bytes_clone_avoided;
         self.deep_copies += other.deep_copies;
+        self.bytes_deep_copied += other.bytes_deep_copied;
         self.budget_evictions += other.budget_evictions;
     }
 }
@@ -551,6 +552,11 @@ impl Metrics {
                         m.bytes_clone_avoided,
                     ),
                     field("deep_copies", "deep copies", m.deep_copies),
+                    field(
+                        "bytes_deep_copied",
+                        "bytes deep-copied",
+                        m.bytes_deep_copied,
+                    ),
                     field("budget_evictions", "budget evictions", m.budget_evictions),
                 ],
             },

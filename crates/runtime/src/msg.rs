@@ -155,6 +155,9 @@ pub enum SipMsg {
         key: BlockKey,
         /// Correlates the `BlockData` reply.
         req: ReqId,
+        /// The sender's `sip_barrier` epoch (the home's barrier-misuse
+        /// check compares it with the epochs of Replace-puts).
+        epoch: u64,
     },
     /// A block in flight (reply to `GetBlock`/`RequestBlock`). The payload
     /// is a shared handle: in-process delivery (and fault-injection
@@ -177,6 +180,9 @@ pub enum SipMsg {
         mode: PutMode,
         /// Duplicate-suppression id (`OpId::NONE` when untracked).
         op: OpId,
+        /// The sender's `sip_barrier` epoch; `None` for checkpoint restores,
+        /// which take no part in the barrier-misuse check.
+        epoch: Option<u64>,
     },
     /// Home acknowledges a `PutBlock` (workers drain acks before barriers).
     PutAck {
@@ -235,6 +241,8 @@ pub enum SipMsg {
         mode: PutMode,
         /// Duplicate-suppression id (`OpId::NONE` when untracked).
         op: OpId,
+        /// The sender's `sip_barrier` epoch, as on `PutBlock`.
+        epoch: Option<u64>,
     },
     /// Delete all blocks of an array (distributed at homes, served at I/O
     /// servers).

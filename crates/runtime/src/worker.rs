@@ -17,8 +17,7 @@ use crate::msg::{BarrierKind, BlockKey, OpId, SipMsg};
 use crate::plan::CommPlan;
 use crate::profile::WorkerProfile;
 use crate::registry::SuperRegistry;
-use sia_blocks::{Block, BlockHandle};
-use sia_blocks::{BlockPool, ContractCtx, GemmConfig, PoolConfig};
+use sia_blocks::{Block, BlockHandle, BlockPool, ContractCtx, Custody, GemmConfig, PoolConfig};
 use sia_bytecode::{ArrayId, ArrayKind, IndexId, PutMode};
 use sia_fabric::{Endpoint, Rank, ReqId};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -46,6 +45,24 @@ pub(crate) struct LoopFrame {
     pub current: i64,
     /// Inclusive upper bound.
     pub high: i64,
+}
+
+/// Where a block the interpreter mutates is stored.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Slot {
+    /// The live block of a temp array, in the worker's custody.
+    Temp(ArrayId, BlockKey),
+    /// A local/static block, in the block manager's custody.
+    Local(BlockKey),
+    /// A home block of a distributed array, in the block manager's custody.
+    Home(BlockKey),
+}
+
+/// Which side of a barrier-separated access pair a home observed.
+#[derive(Debug, Clone, Copy)]
+enum Access {
+    Read,
+    Replace,
 }
 
 /// The in-progress pardo of a worker.
@@ -120,11 +137,12 @@ pub struct Worker {
     pub(crate) op_seq: u64,
 
     // ---- conflict detection ----
-    /// Barrier epoch for distributed arrays.
+    /// Barrier epoch for distributed arrays. Every GET and PUT this worker
+    /// sends carries it, so homes compare the senders' epochs.
     pub(crate) dist_epoch: u64,
-    /// Last epoch a Replace-put landed per block (home side).
+    /// Sender epoch of the last Replace-put per block (home side).
     pub(crate) replace_epoch: HashMap<BlockKey, u64>,
-    /// Last epoch a get was served per block (home side).
+    /// Sender epoch of the last get served per block (home side).
     pub(crate) serve_epoch: HashMap<BlockKey, u64>,
 
     // ---- reporting ----
@@ -276,16 +294,8 @@ impl Worker {
 
     fn handle(&mut self, src: Rank, msg: SipMsg) {
         match msg {
-            SipMsg::GetBlock { key, req } => {
-                // Conflict check: serving a block Replace-put in this same
-                // epoch means the program raced a read against a write.
-                if self.replace_epoch.get(&key) == Some(&self.dist_epoch) {
-                    self.warnings.push(format!(
-                        "possible barrier misuse: block {key:?} read and replaced in the \
-                         same sip_barrier epoch"
-                    ));
-                }
-                self.serve_epoch.insert(key, self.dist_epoch);
+            SipMsg::GetBlock { key, req, epoch } => {
+                self.check_barrier_use(key, epoch, Access::Read);
                 match self.mem.serve_home(&key) {
                     // Serve from the authoritative store; the reply shares
                     // the store's allocation (zero-copy).
@@ -306,7 +316,8 @@ impl Worker {
                     // allocated … only when actually filled"), which is what
                     // makes symmetric-array declarations cheap.
                     None => {
-                        let data = BlockHandle::zeros(self.layout.declared_block_shape(key.array));
+                        let shape = self.layout.declared_block_shape(key.array);
+                        let data = BlockHandle::new(self.pool.acquire_stored(shape, true));
                         let _ = self
                             .endpoint
                             .send(src, SipMsg::BlockData { key, data, req });
@@ -318,8 +329,9 @@ impl Worker {
                 data,
                 mode,
                 op,
+                epoch,
             } => {
-                self.apply_put_deduped(key, data, mode, op);
+                self.apply_put_deduped(key, data, mode, op, epoch);
                 let _ = self.endpoint.send(src, SipMsg::PutAck { key, op });
             }
             SipMsg::PutAck { key, op } => {
@@ -404,8 +416,9 @@ impl Worker {
                 norm,
                 mode,
                 op,
+                epoch,
             } => {
-                self.apply_absent_deduped(key, norm, mode, op);
+                self.apply_absent_deduped(key, norm, mode, op, epoch);
                 let _ = self.endpoint.send(src, SipMsg::PutAck { key, op });
             }
             SipMsg::ChunkAssign {
@@ -757,7 +770,15 @@ impl Worker {
     /// puts and by the owner for local ones). A Replace adopts the payload
     /// handle outright; an Accumulate mutates the resident block
     /// copy-on-write (in place unless a concurrent serve still shares it).
-    pub(crate) fn apply_put_local(&mut self, key: BlockKey, data: BlockHandle, mode: PutMode) {
+    /// `epoch` is the sender's barrier epoch (`None` for checkpoint
+    /// restores, which take no part in the barrier-misuse check).
+    pub(crate) fn apply_put_local(
+        &mut self,
+        key: BlockKey,
+        data: BlockHandle,
+        mode: PutMode,
+        epoch: Option<u64>,
+    ) {
         // Sparse screening at the home: a payload under the threshold is
         // dropped and only its norm bound is recorded. Also reached by a
         // fault-tolerance journal replay of a put the sender dropped (replay
@@ -765,27 +786,29 @@ impl Worker {
         if self.sparsity_active(key.array) {
             let norm = data.norm();
             if norm < self.config.sparsity_threshold {
-                self.apply_absent_local(key, norm, mode);
+                self.apply_absent_local(key, norm, mode, epoch);
                 return;
             }
         }
         match mode {
             PutMode::Replace => {
-                if self.serve_epoch.get(&key) == Some(&self.dist_epoch) {
-                    self.warnings.push(format!(
-                        "possible barrier misuse: block {key:?} replaced after being read \
-                         in the same sip_barrier epoch"
-                    ));
+                if let Some(epoch) = epoch {
+                    self.check_barrier_use(key, epoch, Access::Replace);
                 }
-                self.replace_epoch.insert(key, self.dist_epoch);
                 self.mem.home_insert(key, data);
             }
-            PutMode::Accumulate => match self.mem.home_entry_mut(&key) {
-                Some(existing) => existing.make_mut().accumulate(&data),
-                None => {
+            PutMode::Accumulate => {
+                // `a + 1.0 * b` is bitwise `a + b`: the fused CoW axpy is an
+                // accumulate.
+                let merged = self
+                    .update_block(Slot::Home(key), |h, pool, custody| {
+                        Ok(h.cow_axpy(pool, custody, 1.0, &data)?)
+                    })
+                    .expect("store-custody copy-on-write never exhausts the pool");
+                if !merged {
                     self.mem.home_insert(key, data);
                 }
-            },
+            }
         }
         // A fresher value exists; drop any stale cached copy.
         self.mem.cache_invalidate(&key);
@@ -802,16 +825,18 @@ impl Worker {
     /// Accumulate onto a resident block is a no-op (the dropped contribution
     /// is within the screening bound), onto an absent block it accumulates
     /// the bound (triangle inequality).
-    pub(crate) fn apply_absent_local(&mut self, key: BlockKey, norm: f64, mode: PutMode) {
+    pub(crate) fn apply_absent_local(
+        &mut self,
+        key: BlockKey,
+        norm: f64,
+        mode: PutMode,
+        epoch: Option<u64>,
+    ) {
         match mode {
             PutMode::Replace => {
-                if self.serve_epoch.get(&key) == Some(&self.dist_epoch) {
-                    self.warnings.push(format!(
-                        "possible barrier misuse: block {key:?} replaced after being read \
-                         in the same sip_barrier epoch"
-                    ));
+                if let Some(epoch) = epoch {
+                    self.check_barrier_use(key, epoch, Access::Replace);
                 }
-                self.replace_epoch.insert(key, self.dist_epoch);
                 self.mem.home_record_absent(key, norm);
             }
             PutMode::Accumulate => {
@@ -824,6 +849,25 @@ impl Worker {
         self.mem.cache_invalidate(&key);
     }
 
+    /// The home's barrier-misuse check: a get and a Replace-put of the same
+    /// block stamped with the same sender epoch were not separated by a
+    /// `sip_barrier`, so the program raced a read against a write. The
+    /// stamps are the senders' epochs, not this home's: a peer released
+    /// from a barrier before this worker has already moved on.
+    fn check_barrier_use(&mut self, key: BlockKey, epoch: u64, access: Access) {
+        let (mine, other) = match access {
+            Access::Read => (&mut self.serve_epoch, &self.replace_epoch),
+            Access::Replace => (&mut self.replace_epoch, &self.serve_epoch),
+        };
+        if other.get(&key) == Some(&epoch) {
+            self.warnings.push(format!(
+                "possible barrier misuse: block {key:?} read and replaced in the \
+                 same sip_barrier epoch"
+            ));
+        }
+        mine.insert(key, epoch);
+    }
+
     /// [`Worker::apply_absent_local`] with the same duplicate suppression as
     /// [`Worker::apply_put_deduped`], so retried/duplicated `PutAbsent`
     /// messages cannot re-accumulate a norm bound.
@@ -833,18 +877,10 @@ impl Worker {
         norm: f64,
         mode: PutMode,
         op: OpId,
+        epoch: Option<u64>,
     ) {
-        let epoch = self.dist_epoch;
-        let duplicate = op.is_tracked()
-            && !self
-                .ft
-                .as_mut()
-                .map(|ft| ft.note_applied(op.0, epoch))
-                .unwrap_or(true);
-        if duplicate {
-            self.profile.metrics.fault.dup_puts_suppressed += 1;
-        } else {
-            self.apply_absent_local(key, norm, mode);
+        if self.first_application(op) {
+            self.apply_absent_local(key, norm, mode, epoch);
         }
     }
 
@@ -988,8 +1024,9 @@ impl Worker {
                     None if self.layout.array_sparse(key.array) => BlockGet::AbsentZero {
                         norm: self.mem.home_absent_norm(&key).unwrap_or(0.0),
                     },
-                    None => BlockGet::Ready(BlockHandle::zeros(
-                        self.layout.declared_block_shape(key.array),
+                    None => BlockGet::Ready(BlockHandle::new(
+                        self.pool
+                            .acquire_stored(self.layout.declared_block_shape(key.array), true),
                     )),
                 },
             });
@@ -1074,7 +1111,11 @@ impl Worker {
         }
         let msg = match kind {
             ArrayKind::Served => SipMsg::RequestBlock { key, req },
-            _ => SipMsg::GetBlock { key, req },
+            _ => SipMsg::GetBlock {
+                key,
+                req,
+                epoch: self.dist_epoch,
+            },
         };
         if self.ft.is_some() {
             // The fetch is registered for retry; a send failure means the
@@ -1089,7 +1130,9 @@ impl Worker {
     /// Reads the block a ref denotes, waiting for in-flight fetches. Returns
     /// a shared handle aliasing the resident block — mutation by the caller
     /// goes through copy-on-write, so correctness is preserved without the
-    /// old defensive deep copy.
+    /// old defensive deep copy. A handle that comes back unshared (a slice,
+    /// an absent block's zeros) is the caller's to hand back with
+    /// [`Worker::release_handle`].
     ///
     /// `wait` accumulates blocked time for the profiler.
     pub(crate) fn read_block(
@@ -1131,9 +1174,10 @@ impl Worker {
                     BlockGet::Ready(h) => h,
                     // Dense consumers still see an absent block as zeros;
                     // screening-aware consumers use `read_block_get`.
-                    BlockGet::AbsentZero { .. } => {
-                        BlockHandle::zeros(self.layout.declared_block_shape(array))
-                    }
+                    BlockGet::AbsentZero { .. } => BlockHandle::new(
+                        self.pool
+                            .acquire_stored(self.layout.declared_block_shape(array), true),
+                    ),
                     BlockGet::Pending => {
                         return Err(RuntimeError::Internal(
                             "wait-mode access returned pending".into(),
@@ -1144,13 +1188,23 @@ impl Worker {
         };
         match slice {
             None => Ok(whole),
-            Some((offsets, extents)) => {
-                let spec = sia_blocks::SliceSpec::new(&offsets, &extents);
-                sia_blocks::extract_slice(&whole, &spec)
-                    .map(BlockHandle::new)
-                    .map_err(|e| RuntimeError::Internal(format!("slice extraction failed: {e}")))
-            }
+            Some((offsets, extents)) => self.extract(&whole, &offsets, &extents),
         }
+    }
+
+    /// Extracts a sub-block into pooled storage (every element is
+    /// overwritten, so the storage may be stale).
+    fn extract(
+        &self,
+        whole: &Block,
+        offsets: &[usize],
+        extents: &[usize],
+    ) -> Result<BlockHandle, RuntimeError> {
+        let spec = sia_blocks::SliceSpec::new(offsets, extents);
+        let mut sub = self.pool.acquire_scratch(spec.slice_shape())?;
+        sia_blocks::extract_slice_into(whole, &spec, &mut sub)
+            .map_err(|e| RuntimeError::Internal(format!("slice extraction failed: {e}")))?;
+        Ok(BlockHandle::new(sub))
     }
 
     /// Screening-aware read for consumers that can exploit typed absence
@@ -1176,14 +1230,9 @@ impl Worker {
         match self.access_key(key, Fetch::Wait, wait)? {
             BlockGet::Ready(whole) => match slice {
                 None => Ok(BlockGet::Ready(whole)),
-                Some((offsets, extents)) => {
-                    let spec = sia_blocks::SliceSpec::new(&offsets, &extents);
-                    sia_blocks::extract_slice(&whole, &spec)
-                        .map(|b| BlockGet::Ready(BlockHandle::new(b)))
-                        .map_err(|e| {
-                            RuntimeError::Internal(format!("slice extraction failed: {e}"))
-                        })
-                }
+                Some((offsets, extents)) => self
+                    .extract(&whole, &offsets, &extents)
+                    .map(BlockGet::Ready),
             },
             absent @ BlockGet::AbsentZero { .. } => Ok(absent),
             BlockGet::Pending => Err(RuntimeError::Internal(
@@ -1195,7 +1244,8 @@ impl Worker {
     /// Writes `block` to the storage a ref denotes (temp/local/static only;
     /// distributed/served writes go through put/prepare). Accepts anything
     /// convertible to a [`BlockHandle`], so a shared handle is stored without
-    /// materializing a copy.
+    /// materializing a copy. A local/static block leaves the worker's
+    /// custody; an inserted sub-block is handed back to the pool.
     pub(crate) fn write_block(
         &mut self,
         array: ArrayId,
@@ -1206,94 +1256,134 @@ impl Worker {
         let segs = self.seg_values(ref_indices)?;
         let (key, slice) = self.layout.storage_target(array, ref_indices, &segs);
         let kind = self.layout.array_kind(array);
-        match slice {
-            None => match kind {
-                ArrayKind::Temp => {
+        let slot = match kind {
+            ArrayKind::Temp => Slot::Temp(array, key),
+            ArrayKind::Local | ArrayKind::Static => Slot::Local(key),
+            other => {
+                return Err(RuntimeError::BadProgram(format!(
+                    "direct write to {other:?} array"
+                )));
+            }
+        };
+        let Some((offsets, extents)) = slice else {
+            match slot {
+                Slot::Temp(..) => {
                     if let Some((_, old)) = self.temps.insert(array, (key, block)) {
                         self.release_handle(old);
                     }
-                    Ok(())
                 }
-                ArrayKind::Local | ArrayKind::Static => {
+                _ => {
+                    self.pool.detach(&block);
                     self.mem.local_insert(key, block);
-                    Ok(())
                 }
-                other => Err(RuntimeError::BadProgram(format!(
-                    "direct write to {other:?} array"
-                ))),
-            },
-            Some((offsets, extents)) => {
-                // Insertion: write the subblock into the (existing or fresh)
-                // parent block.
-                let spec = sia_blocks::SliceSpec::new(&offsets, &extents);
-                let parent_shape = self.layout.declared_block_shape(array);
-                match kind {
-                    ArrayKind::Temp => {
-                        let entry = self
-                            .temps
-                            .entry(array)
-                            .or_insert_with(|| (key, BlockHandle::zeros(parent_shape)));
-                        if entry.0 != key {
-                            *entry = (key, BlockHandle::zeros(parent_shape));
-                        }
-                        sia_blocks::insert_slice(entry.1.make_mut(), &spec, &block)
-                            .map_err(|e| RuntimeError::Internal(format!("insert failed: {e}")))
+            }
+            return Ok(());
+        };
+        // Insertion: write the subblock into the (existing or fresh, zeroed)
+        // parent block.
+        let parent_shape = self.layout.declared_block_shape(array);
+        match slot {
+            Slot::Temp(..) => {
+                if !matches!(self.temps.get(&array), Some((k, _)) if *k == key) {
+                    let parent = self.pool.acquire_raw(parent_shape)?;
+                    if let Some((_, old)) = self.temps.insert(array, (key, parent.into())) {
+                        self.release_handle(old);
                     }
-                    ArrayKind::Local | ArrayKind::Static => {
-                        let parent = self
-                            .mem
-                            .local_mut_or_insert(key, || BlockHandle::zeros(parent_shape));
-                        sia_blocks::insert_slice(parent.make_mut(), &spec, &block)
-                            .map_err(|e| RuntimeError::Internal(format!("insert failed: {e}")))
-                    }
-                    other => Err(RuntimeError::BadProgram(format!(
-                        "direct write to {other:?} array"
-                    ))),
+                }
+            }
+            _ => {
+                if self.mem.local_get_mut(&key).is_none() {
+                    let parent = self.pool.acquire_stored(parent_shape, true);
+                    self.mem.local_insert(key, parent.into());
                 }
             }
         }
+        let spec = sia_blocks::SliceSpec::new(&offsets, &extents);
+        self.update_block(slot, |h, pool, custody| {
+            let (parent, copied) = h.make_unique(pool, custody)?;
+            sia_blocks::insert_slice(parent, &spec, &block)
+                .map_err(|e| RuntimeError::Internal(format!("insert failed: {e}")))?;
+            Ok(copied)
+        })?;
+        self.release_handle(block);
+        Ok(())
     }
 
-    /// Mutates a writable block in place (for `+=`, `*=` on temps/locals).
+    /// Mutates a writable block in place (for `+=`, `*=` on temps/locals)
+    /// through [`Worker::update_block`].
     pub(crate) fn modify_block(
         &mut self,
         array: ArrayId,
         ref_indices: &[IndexId],
-        f: impl FnOnce(&mut Block),
+        op: impl FnOnce(&mut BlockHandle, &BlockPool, Custody) -> Result<u64, RuntimeError>,
     ) -> Result<(), RuntimeError> {
         let segs = self.seg_values(ref_indices)?;
         let (key, slice) = self.layout.storage_target(array, ref_indices, &segs);
         if slice.is_some() {
-            // Read-modify-write through the slice path.
+            // Read-modify-write through the slice path: the extracted
+            // sub-block is the worker's own, so `op` runs in place.
             let mut wait = Duration::ZERO;
             let mut sub = self.read_block(array, ref_indices, &mut wait)?;
-            f(sub.make_mut());
+            let copied = op(&mut sub, &self.pool, Custody::Worker)?;
+            self.mem.note_deep_copy(copied);
             return self.write_block(array, ref_indices, sub);
         }
         match self.layout.array_kind(array) {
-            ArrayKind::Temp => match self.temps.get_mut(&array) {
-                Some((stored_key, block)) if *stored_key == key => {
-                    f(block.make_mut());
+            ArrayKind::Temp => {
+                if self.update_block(Slot::Temp(array, key), op)? {
                     Ok(())
+                } else {
+                    Err(RuntimeError::TempUndefined {
+                        array: self.layout.array(array).name.clone(),
+                    })
                 }
-                _ => Err(RuntimeError::TempUndefined {
-                    array: self.layout.array(array).name.clone(),
-                }),
-            },
-            ArrayKind::Local | ArrayKind::Static => match self.mem.local_get_mut(&key) {
-                Some(block) => {
-                    f(block.make_mut());
+            }
+            ArrayKind::Local | ArrayKind::Static => {
+                if self.update_block(Slot::Local(key), op)? {
                     Ok(())
+                } else {
+                    Err(RuntimeError::BlockNotAvailable {
+                        key,
+                        context: "in-place update of unwritten local/static block".into(),
+                    })
                 }
-                None => Err(RuntimeError::BlockNotAvailable {
-                    key,
-                    context: "in-place update of unwritten local/static block".into(),
-                }),
-            },
+            }
             other => Err(RuntimeError::BadProgram(format!(
                 "in-place update of {other:?} array"
             ))),
         }
+    }
+
+    /// The worker's one copy-on-write point: runs `op` on the handle stored
+    /// at `slot`, with the pool and the custody that slot's storage belongs
+    /// to. `op` mutates through `BlockHandle::{make_unique, cow_scale,
+    /// cow_axpy}`, so a shared payload is copied into pooled storage —
+    /// the worker's for a temp, the block manager's for a local or home
+    /// block — and reports the bytes it copied, which land in
+    /// `memory.deep_copies` / `memory.bytes_deep_copied`. Returns
+    /// `Ok(false)` when nothing is stored at `slot`.
+    pub(crate) fn update_block(
+        &mut self,
+        slot: Slot,
+        op: impl FnOnce(&mut BlockHandle, &BlockPool, Custody) -> Result<u64, RuntimeError>,
+    ) -> Result<bool, RuntimeError> {
+        let (handle, custody) = match slot {
+            Slot::Temp(array, key) => match self.temps.get_mut(&array) {
+                Some((stored, h)) if *stored == key => (h, Custody::Worker),
+                _ => return Ok(false),
+            },
+            Slot::Local(key) => match self.mem.local_get_mut(&key) {
+                Some(h) => (h, Custody::Store),
+                None => return Ok(false),
+            },
+            Slot::Home(key) => match self.mem.home_entry_mut(&key) {
+                Some(h) => (h, Custody::Store),
+                None => return Ok(false),
+            },
+        };
+        let copied = op(handle, &self.pool, custody)?;
+        self.mem.note_deep_copy(copied);
+        Ok(true)
     }
 
     /// Returns a handle's storage to the pool if this was the last holder;
@@ -1325,28 +1415,35 @@ impl Worker {
 
     // ---- fault tolerance --------------------------------------------------------
 
-    /// Sends a PUT to `home`, tracking the op for retry/journal replay under
-    /// fault tolerance (or counting an outstanding ack on the fault-free
-    /// fast path). The journal entry, the retained pending payload, and the
-    /// wire message all share one allocation.
-    pub(crate) fn send_put(
+    /// Sends a PUT (to a distributed home) or, when `served`, a PREPARE (to
+    /// an I/O server). Under fault tolerance the op is tracked for retry and
+    /// PUTs are journaled for replay when a crash is possible (I/O servers
+    /// never die in the fault model); the fault-free fast path counts an
+    /// outstanding ack. The journal entry, the retained pending payload and
+    /// the wire message share one allocation, which leaves the worker's
+    /// custody here.
+    pub(crate) fn send_flight(
         &mut self,
         home: Rank,
         key: BlockKey,
         data: BlockHandle,
         mode: PutMode,
         op: OpId,
+        served: bool,
     ) -> Result<(), RuntimeError> {
+        self.pool.detach(&data);
         // Tracked ops get a traced flight span; untracked (`OpId::NONE`)
         // puts have no correlatable id, so they are counted but not spanned.
         if self.trace.is_on() && op.is_tracked() {
             self.put_flights.insert(op.0, Instant::now());
         }
         // Sparse screening at the sender: a payload under the threshold
-        // ships as a norm-only PutAbsent instead of the block.
+        // ships as a norm-only PutAbsent instead of the block (acknowledged
+        // like the full store).
         let dropped = self.screen_outgoing(&key, &data);
-        if let Some(ft) = self.ft.as_mut() {
-            if ft.cfg.expects_crash() {
+        let epoch = self.dist_epoch;
+        let msg = if let Some(ft) = self.ft.as_mut() {
+            if !served && ft.cfg.expects_crash() {
                 self.mem.note_share(&data);
                 ft.journal.push(JournalEntry {
                     op: op.0,
@@ -1359,30 +1456,30 @@ impl Worker {
             // The retained payload backs retries and journal replay even
             // when the first transmission is a PutAbsent: a retry resends
             // the full block and the home's op dedup keeps it idempotent.
-            let msg = ft.arm_flight(op, key, data, mode, false);
-            let msg = match dropped {
-                Some(norm) => SipMsg::PutAbsent {
-                    key,
-                    norm,
-                    mode,
-                    op,
-                },
-                None => msg,
-            };
+            ft.arm_flight(op, key, data, mode, served, epoch)
+        } else {
+            if served {
+                self.outstanding_prepares += 1;
+            } else {
+                self.outstanding_puts += 1;
+            }
+            ft::flight_msg(op, key, data, mode, served, epoch)
+        };
+        let msg = match dropped {
+            Some(norm) => SipMsg::PutAbsent {
+                key,
+                norm,
+                mode,
+                op,
+                epoch: Some(epoch),
+            },
+            None => msg,
+        };
+        if self.ft.is_some() {
             // Tracked for retry: a failed send to a dying home re-routes
             // once the master broadcasts RankDead.
             let _ = self.endpoint.send(home, msg);
         } else {
-            self.outstanding_puts += 1;
-            let msg = match dropped {
-                Some(norm) => SipMsg::PutAbsent {
-                    key,
-                    norm,
-                    mode,
-                    op,
-                },
-                None => ft::flight_msg(op, key, data, mode, false),
-            };
             self.endpoint.send(home, msg)?;
         }
         Ok(())
@@ -1402,52 +1499,6 @@ impl Worker {
         }
         self.profile.metrics.sparse.bytes_not_shipped += data.heap_bytes();
         Some(norm)
-    }
-
-    /// Sends a PREPARE to an I/O server, tracking the op for retry under
-    /// fault tolerance. I/O servers never die in the fault model, so
-    /// prepares are not journaled.
-    pub(crate) fn send_prepare(
-        &mut self,
-        home: Rank,
-        key: BlockKey,
-        data: BlockHandle,
-        mode: PutMode,
-        op: OpId,
-    ) -> Result<(), RuntimeError> {
-        if self.trace.is_on() && op.is_tracked() {
-            self.put_flights.insert(op.0, Instant::now());
-        }
-        // Screened like puts: a negligible prepare ships norm-only (the
-        // server answers with a PrepareAck either way).
-        let dropped = self.screen_outgoing(&key, &data);
-        if let Some(ft) = self.ft.as_mut() {
-            self.mem.note_share(&data);
-            let msg = ft.arm_flight(op, key, data, mode, true);
-            let msg = match dropped {
-                Some(norm) => SipMsg::PutAbsent {
-                    key,
-                    norm,
-                    mode,
-                    op,
-                },
-                None => msg,
-            };
-            let _ = self.endpoint.send(home, msg);
-        } else {
-            self.outstanding_prepares += 1;
-            let msg = match dropped {
-                Some(norm) => SipMsg::PutAbsent {
-                    key,
-                    norm,
-                    mode,
-                    op,
-                },
-                None => ft::flight_msg(op, key, data, mode, true),
-            };
-            self.endpoint.send(home, msg)?;
-        }
-        Ok(())
     }
 
     /// True when every PUT has been acknowledged.
@@ -1503,19 +1554,28 @@ impl Worker {
         data: BlockHandle,
         mode: PutMode,
         op: OpId,
+        epoch: Option<u64>,
     ) {
-        let epoch = self.dist_epoch;
+        if self.first_application(op) {
+            self.apply_put_local(key, data, mode, epoch);
+        }
+    }
+
+    /// False (and counted) when `op` is tracked and already in this home's
+    /// applied window — a retry, a fabric duplicate, or a re-executed
+    /// chunk; true otherwise.
+    fn first_application(&mut self, op: OpId) -> bool {
+        let home_epoch = self.dist_epoch;
         let duplicate = op.is_tracked()
             && !self
                 .ft
                 .as_mut()
-                .map(|ft| ft.note_applied(op.0, epoch))
+                .map(|ft| ft.note_applied(op.0, home_epoch))
                 .unwrap_or(true);
         if duplicate {
             self.profile.metrics.fault.dup_puts_suppressed += 1;
-        } else {
-            self.apply_put_local(key, data, mode);
         }
+        !duplicate
     }
 
     /// Retries timed-out tracked operations (no-op on fault-free runs).
@@ -1528,6 +1588,7 @@ impl Worker {
             return Ok(());
         }
         let now = Instant::now();
+        let epoch = self.dist_epoch;
         let max_retries = ft.cfg.max_retries;
         let backoff = ft.cfg.retry_backoff;
         let layout = &self.layout;
@@ -1566,7 +1627,7 @@ impl Worker {
             // The resend shares the retained payload's allocation.
             resend.push((
                 home,
-                ft::flight_msg(OpId(op), p.key, p.data.clone(), p.mode, p.served),
+                ft::flight_msg(OpId(op), p.key, p.data.clone(), p.mode, p.served, epoch),
             ));
         }
         let mut fetch_retries = 0u64;
@@ -1606,6 +1667,7 @@ impl Worker {
                 SipMsg::GetBlock {
                     key: *key,
                     req: f.req,
+                    epoch,
                 }
             };
             resend.push((home, msg));
@@ -1774,7 +1836,7 @@ impl Worker {
             .collect();
         for (op, key, data, mode, new_home) in to_replay {
             replays += 1;
-            let msg = ft.arm_flight(OpId(op), key, data, mode, false);
+            let msg = ft.arm_flight(OpId(op), key, data, mode, false, epoch);
             sends.push((new_home, msg));
         }
         // Re-route unanswered fetches that were addressed to the corpse.
@@ -1793,6 +1855,7 @@ impl Worker {
                 SipMsg::GetBlock {
                     key: *key,
                     req: f.req,
+                    epoch,
                 },
             ));
         }
