@@ -1,9 +1,8 @@
 //! Ablations of the SIP's design choices (the decisions §V and §VII argue
-//! for), each run against the alternative:
+//! for), each run against the alternative. (Ablation 1, block placement,
+//! retired with the placement alternatives; its record is in
+//! EXPERIMENTS.md.)
 //!
-//! 1. **Block placement** (§V-B: "a simple, static strategy … works well in
-//!    practice"): hash placement vs locality-preserving round-robin, measured
-//!    on the *real* runtime by per-worker traffic imbalance and wall time.
 //! 2. **Guided chunk scheduling** (§V-B: "the chunk size decreases as the
 //!    computation proceeds"): guided vs fixed-size vs single-task chunks, in
 //!    the simulator at scale (tail imbalance vs master traffic).
@@ -15,66 +14,9 @@
 //! ```
 
 use sia_bench::{fmt_pct, FigTable};
-use sia_chem::{ccsd_iteration, contraction_demo, Molecule, RDX};
+use sia_chem::{ccsd_iteration, RDX};
 use sia_runtime::scheduler::ChunkPolicy;
-use sia_runtime::{Placement, SipConfig};
 use sia_sim::{machine::CRAY_XT5, simulate, SimConfig};
-
-fn molecule() -> Molecule {
-    Molecule {
-        name: "ablation",
-        formula: "—",
-        electrons: 16,
-        n_occ: 8,
-        n_ao: 40,
-        open_shell: false,
-    }
-}
-
-fn placement_ablation() {
-    let workload = contraction_demo(&molecule(), 8);
-    let mut table = FigTable::new(
-        "Ablation 1: block placement on the real SIP (4 workers)",
-        &["placement", "recv imbalance (max/mean)", "wall time (ms)"],
-    );
-    for (name, placement) in [
-        ("hash (SIP)", Placement::Hash),
-        ("round-robin", Placement::RoundRobin),
-    ] {
-        let cfg = SipConfig::builder()
-            .workers(4)
-            .io_servers(1)
-            .placement(placement)
-            .collect_distributed(false)
-            .build()
-            .unwrap();
-        let t0 = std::time::Instant::now();
-        match workload.run_real(cfg) {
-            Ok(out) => {
-                // Workers are ranks 1..=4.
-                let recv: Vec<u64> = out.traffic_per_rank[1..=4]
-                    .iter()
-                    .map(|t| t.received_bytes)
-                    .collect();
-                let mean = recv.iter().sum::<u64>() as f64 / recv.len() as f64;
-                let max = *recv.iter().max().unwrap() as f64;
-                table.row(vec![
-                    name.into(),
-                    format!("{:.2}", max / mean.max(1.0)),
-                    format!("{:.0}", t0.elapsed().as_millis()),
-                ]);
-            }
-            Err(e) => table.row(vec![name.into(), format!("failed: {e}"), String::new()]),
-        }
-    }
-    table.print();
-    println!(
-        "the paper's point holds: placement choice barely moves the result\n\
-         because overlap hides most traffic — and swapping the strategy needed\n\
-         zero SIAL changes.\n"
-    );
-    let _ = table.write_tsv("ablation_placement");
-}
 
 fn scheduling_ablation() {
     let trace = ccsd_iteration(&RDX, 15, 1).trace(1000, 1).expect("trace");
@@ -157,7 +99,6 @@ fn overlap_ablation() {
 }
 
 fn main() {
-    placement_ablation();
     scheduling_ablation();
     overlap_ablation();
 }

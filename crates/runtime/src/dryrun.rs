@@ -86,7 +86,8 @@ fn per_worker(layout: &Layout, config: &SipConfig, workers: u64) -> MemoryEstima
         };
         // Blocks homed on (or replicated to) one worker.
         let home_blocks = match decl.kind {
-            // Distributed blocks spread evenly under the static placement.
+            // The slab map (`Layout::slot_of_distributed`) homes exactly
+            // this many blocks of the array on its busiest worker.
             ArrayKind::Distributed => blocks.div_ceil(workers),
             // Served blocks live on the servers; workers only cache them.
             ArrayKind::Served => 0,

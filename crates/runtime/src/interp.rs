@@ -258,8 +258,8 @@ impl Worker {
                     requested: false,
                     exhausted: false,
                 });
-                // Planned placement: push broadcast-shaped operands homed
-                // here down their multicast trees before iterating.
+                // Push broadcast-shaped operands homed here down their
+                // multicast trees before iterating.
                 self.multicast_push(pc);
                 Ok(Some(self.pardo_advance(wait)?))
             }

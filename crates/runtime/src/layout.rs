@@ -163,8 +163,6 @@ pub struct SipConfig {
     pub chunk_factor: usize,
     /// Chunk-sizing policy override (`None` = guided with `chunk_factor`).
     pub chunk_policy: Option<crate::scheduler::ChunkPolicy>,
-    /// Distributed-block placement strategy.
-    pub placement: Placement,
     /// Intra-worker thread **count** for the block-contraction GEMM
     /// (1 = serial). [`SipConfigBuilder::build`] clamps this to the host's
     /// `available_parallelism`; the pre-clamp request is kept in
@@ -236,7 +234,6 @@ impl Default for SipConfig {
             memory_budget: None,
             chunk_factor: 2,
             chunk_policy: None,
-            placement: Placement::default(),
             gemm_threads: 1,
             gemm_threads_requested: 1,
             fold_transposes: true,
@@ -389,12 +386,6 @@ impl SipConfigBuilder {
     /// Chunk-sizing policy override.
     pub fn chunk_policy(mut self, p: crate::scheduler::ChunkPolicy) -> Self {
         self.config.chunk_policy = Some(p);
-        self
-    }
-
-    /// Distributed-block placement strategy.
-    pub fn placement(mut self, p: Placement) -> Self {
-        self.config.placement = p;
         self
     }
 
@@ -565,81 +556,6 @@ impl SipConfigBuilder {
     }
 }
 
-/// Distributed-block placement strategy.
-///
-/// The paper uses "a simple, static strategy" and argues elaborate placement
-/// buys little because communication overlaps computation anyway — and that
-/// "the approach to data distribution could be modified and improved at any
-/// time without requiring any change in the SIAL programs". This enum is that
-/// modification point; the ablation harness compares the strategies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Placement {
-    /// FNV hash of (array, segments) modulo workers — the SIP default.
-    #[default]
-    Hash,
-    /// Weighted segment sum modulo workers: preserves neighbour locality but
-    /// creates stride hotspots on structured access patterns.
-    RoundRobin,
-    /// Planner-derived placement: each distributed array's block grid is cut
-    /// into `workers` contiguous slabs in row-major block order, so blocks
-    /// addressed by the same index tuple land on the same worker across
-    /// arrays and chunk assignment can be aligned with block homes
-    /// (owner-compute). Resolved through [`Layout::home_of_distributed`];
-    /// a bare [`Topology`] (no block-grid knowledge) falls back to hash.
-    Planned,
-}
-
-/// Pluggable block→worker placement map, the facade behind which every
-/// `home_of_distributed` lookup resolves. The static strategies
-/// ([`Placement::Hash`], [`Placement::RoundRobin`]) are pure functions of
-/// the key; the planner-derived map ([`Placement::Planned`]) consults the
-/// per-array block grids resolved by [`Layout::new`]. All implementations
-/// must be deterministic: every rank holds the same map (shared through the
-/// run's `Arc<Layout>`) and must agree on every home without coordination.
-pub trait PlacementMap: Send + Sync + std::fmt::Debug {
-    /// Worker slot (0-based worker index) of a distributed block.
-    fn slot(&self, key: &BlockKey) -> usize;
-
-    /// Strategy name for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// Hash placement behind the [`PlacementMap`] facade.
-#[derive(Debug)]
-struct HashSlots {
-    workers: usize,
-}
-
-impl PlacementMap for HashSlots {
-    fn slot(&self, key: &BlockKey) -> usize {
-        (key.placement_hash() % self.workers as u64) as usize
-    }
-
-    fn name(&self) -> &'static str {
-        "hash"
-    }
-}
-
-/// Round-robin placement behind the facade.
-#[derive(Debug)]
-struct RoundRobinSlots {
-    workers: usize,
-}
-
-impl PlacementMap for RoundRobinSlots {
-    fn slot(&self, key: &BlockKey) -> usize {
-        let mut sum: u64 = key.array.0 as u64;
-        for (d, &seg) in key.segs().iter().enumerate() {
-            sum += (seg.max(0) as u64) << (2 * d);
-        }
-        (sum % self.workers as u64) as usize
-    }
-
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-}
-
 /// One distributed array's resolved block grid: enough to compute the
 /// row-major linear index of any block key.
 #[derive(Debug, Clone)]
@@ -652,45 +568,6 @@ struct BlockGrid {
     total: u64,
 }
 
-/// Planner-derived placement: contiguous row-major slabs per array.
-///
-/// `slot(key) = linear(key) * workers / total` — a balanced, static,
-/// deterministic partition that (a) keeps each array's blocks contiguous
-/// per worker, and (b) co-locates blocks of *different* arrays addressed
-/// by the same index tuple, which is what lets the master hand a pardo
-/// iteration to the worker that owns the block it writes. Keys without a
-/// resolved grid (or outside it) fall back to hash so the map stays total.
-#[derive(Debug)]
-struct PlannedSlots {
-    workers: usize,
-    grids: Vec<Option<BlockGrid>>,
-}
-
-impl PlacementMap for PlannedSlots {
-    fn slot(&self, key: &BlockKey) -> usize {
-        let grid = match self.grids.get(key.array.index()).and_then(Option::as_ref) {
-            Some(g) if g.total > 0 => g,
-            _ => return (key.placement_hash() % self.workers as u64) as usize,
-        };
-        let segs = key.segs();
-        if segs.len() != grid.len.len() {
-            return (key.placement_hash() % self.workers as u64) as usize;
-        }
-        let mut linear: u64 = 0;
-        for (d, &seg) in segs.iter().enumerate() {
-            let off = (seg as i64 - grid.lo[d]).clamp(0, grid.len[d] as i64 - 1) as u64;
-            linear = linear * grid.len[d] + off;
-        }
-        // Contiguous slabs: ⌊linear · W / total⌋, balanced to within one
-        // block and monotone in the linear order.
-        ((linear as u128 * self.workers as u128) / grid.total as u128) as usize
-    }
-
-    fn name(&self) -> &'static str {
-        "planned"
-    }
-}
-
 /// Rank topology: rank 0 is the master, then workers, then I/O servers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Topology {
@@ -698,17 +575,14 @@ pub struct Topology {
     pub workers: usize,
     /// I/O server count.
     pub io_servers: usize,
-    /// Distributed-block placement strategy.
-    pub placement: Placement,
 }
 
 impl Topology {
-    /// A topology with the default (hash) placement.
+    /// A topology of `workers` workers and `io_servers` I/O servers.
     pub fn new(workers: usize, io_servers: usize) -> Self {
         Topology {
             workers,
             io_servers,
-            placement: Placement::Hash,
         }
     }
 
@@ -745,61 +619,6 @@ impl Topology {
         r.0 - 1
     }
 
-    /// Home worker of a distributed block (simple static placement).
-    pub fn home_of_distributed(&self, key: &BlockKey) -> Rank {
-        self.worker(self.initial_slot(key))
-    }
-
-    /// Home worker of a distributed block when some workers are dead.
-    ///
-    /// `dead` is indexed by worker index. Keys whose initial slot is alive
-    /// keep their home (surviving data never moves); keys homed at a dead
-    /// worker walk a deterministic rehash chain until they land on a
-    /// survivor, so every rank that agrees on the dead set agrees on the
-    /// new home.
-    pub fn home_of_distributed_excluding(&self, key: &BlockKey, dead: &[bool]) -> Rank {
-        self.rehash_from(self.initial_slot(key), key, dead)
-    }
-
-    /// The dead-rank rehash chain from an already-resolved initial slot.
-    /// [`Layout::home_of_distributed_excluding`] seeds this with the
-    /// placement map's slot so every strategy (hash, round-robin, planned)
-    /// shares one rehash discipline.
-    pub(crate) fn rehash_from(&self, mut slot: usize, key: &BlockKey, dead: &[bool]) -> Rank {
-        if !dead.iter().any(|&d| d) {
-            return self.worker(slot);
-        }
-        debug_assert!(dead.len() == self.workers);
-        debug_assert!(dead.iter().any(|&d| !d), "all workers dead");
-        let mut h = key.placement_hash();
-        while dead[slot] {
-            // splitmix64-style remix for the next candidate.
-            h = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = h;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z ^= z >> 27;
-            slot = (z % self.workers as u64) as usize;
-        }
-        self.worker(slot)
-    }
-
-    fn initial_slot(&self, key: &BlockKey) -> usize {
-        let slot = match self.placement {
-            // A bare topology has no block-grid knowledge; planned
-            // placement resolves through `Layout::home_of_distributed`,
-            // and this fallback only serves topology-level callers.
-            Placement::Hash | Placement::Planned => key.placement_hash() % self.workers as u64,
-            Placement::RoundRobin => {
-                let mut sum: u64 = key.array.0 as u64;
-                for (d, &seg) in key.segs().iter().enumerate() {
-                    sum += (seg.max(0) as u64) << (2 * d);
-                }
-                sum % self.workers as u64
-            }
-        };
-        slot as usize
-    }
-
     /// Home I/O server of a served block.
     pub fn home_of_served(&self, key: &BlockKey) -> Rank {
         debug_assert!(self.io_servers > 0, "served arrays need I/O servers");
@@ -824,10 +643,9 @@ pub struct Layout {
     /// Per index: the block extent its segments denote (seg size; for a
     /// subindex, seg/nsub).
     index_extents: Vec<usize>,
-    /// The resolved block→worker placement map (the [`PlacementMap`]
-    /// facade): one implementation per [`Placement`] strategy, shared by
-    /// every rank through the run's `Arc<Layout>`.
-    placement_map: Arc<dyn PlacementMap>,
+    /// Per array: its resolved block grid (`None` for a scalar or an empty
+    /// grid), from which every rank derives the same block homes.
+    grids: Vec<Option<BlockGrid>>,
 }
 
 impl Layout {
@@ -866,47 +684,31 @@ impl Layout {
                 }
             }
         }
-        let placement_map: Arc<dyn PlacementMap> = match topology.placement {
-            Placement::Hash => Arc::new(HashSlots {
-                workers: topology.workers,
-            }),
-            Placement::RoundRobin => Arc::new(RoundRobinSlots {
-                workers: topology.workers,
-            }),
-            Placement::Planned => {
-                // Resolve each array's block grid so the planned map can
-                // compute row-major linear indices without the layout.
-                let grids = program
-                    .arrays
+        let grids = program
+            .arrays
+            .iter()
+            .map(|decl| {
+                let lo: Vec<i64> = decl
+                    .dims
                     .iter()
-                    .map(|decl| {
-                        let lo: Vec<i64> = decl
-                            .dims
-                            .iter()
-                            .map(|&d| index_ranges[d.index()].0)
-                            .collect();
-                        let len: Vec<u64> = decl
-                            .dims
-                            .iter()
-                            .map(|&d| {
-                                let (l, h) = index_ranges[d.index()];
-                                (h - l + 1).max(0) as u64
-                            })
-                            .collect();
-                        let total: u64 = len.iter().product();
-                        if decl.dims.is_empty() || total == 0 {
-                            None
-                        } else {
-                            Some(BlockGrid { lo, len, total })
-                        }
+                    .map(|&d| index_ranges[d.index()].0)
+                    .collect();
+                let len: Vec<u64> = decl
+                    .dims
+                    .iter()
+                    .map(|&d| {
+                        let (l, h) = index_ranges[d.index()];
+                        (h - l + 1).max(0) as u64
                     })
                     .collect();
-                Arc::new(PlannedSlots {
-                    workers: topology.workers,
-                    grids,
-                })
-            }
-        };
+                let total: u64 = len.iter().product();
+                if decl.dims.is_empty() || total == 0 {
+                    None
+                } else {
+                    Some(BlockGrid { lo, len, total })
+                }
+            })
+            .collect();
         Ok(Layout {
             program,
             consts,
@@ -914,38 +716,64 @@ impl Layout {
             topology,
             index_ranges,
             index_extents,
-            placement_map,
+            grids,
         })
     }
 
-    /// Worker slot (0-based) of a distributed block under the run's
-    /// placement map.
+    /// Worker slot (0-based) of a distributed block: the one static
+    /// placement. Each array's block grid is cut into `workers` contiguous
+    /// slabs in row-major block order, `⌊linear · W / total⌋`, so a worker
+    /// homes at most `⌈total / W⌉` blocks of any array, and blocks of
+    /// different arrays addressed by the same index tuple share a home —
+    /// which is what lets the master hand a pardo iteration to the worker
+    /// that owns the block it writes (owner-compute). Keys without a
+    /// resolved grid (or of another rank) fall back to the hash so the map
+    /// stays total.
     pub fn slot_of_distributed(&self, key: &BlockKey) -> usize {
-        self.placement_map.slot(key)
+        let workers = self.topology.workers as u64;
+        let segs = key.segs();
+        let grid = match self.grids.get(key.array.index()).and_then(Option::as_ref) {
+            Some(g) if g.len.len() == segs.len() => g,
+            _ => return (key.placement_hash() % workers) as usize,
+        };
+        let mut linear: u64 = 0;
+        for (d, &seg) in segs.iter().enumerate() {
+            let off = (seg as i64 - grid.lo[d]).clamp(0, grid.len[d] as i64 - 1) as u64;
+            linear = linear * grid.len[d] + off;
+        }
+        ((linear as u128 * workers as u128) / grid.total as u128) as usize
     }
 
-    /// Home worker of a distributed block — the placement facade every
-    /// runtime caller resolves through (master, workers, dry run, planner).
-    pub fn home_of_distributed(&self, key: &BlockKey) -> Rank {
-        self.topology.worker(self.placement_map.slot(key))
-    }
-
-    /// Home worker of a distributed block when some workers are dead:
-    /// the placement map's slot, then the shared deterministic rehash
-    /// chain (see [`Topology::home_of_distributed_excluding`]).
+    /// Home worker of a distributed block when some workers are dead.
+    ///
+    /// `dead` is indexed by worker index. Keys whose slab slot is alive
+    /// keep their home (surviving data never moves); keys homed at a dead
+    /// worker walk a deterministic rehash chain until they land on a
+    /// survivor, so every rank that agrees on the dead set agrees on the
+    /// new home.
     pub fn home_of_distributed_excluding(&self, key: &BlockKey, dead: &[bool]) -> Rank {
-        self.topology
-            .rehash_from(self.placement_map.slot(key), key, dead)
+        let workers = self.topology.workers;
+        let mut slot = self.slot_of_distributed(key);
+        if !dead.iter().any(|&d| d) {
+            return self.topology.worker(slot);
+        }
+        debug_assert!(dead.len() == workers);
+        debug_assert!(dead.iter().any(|&d| !d), "all workers dead");
+        let mut h = key.placement_hash();
+        while dead[slot] {
+            // splitmix64-style remix for the next candidate.
+            h = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = h;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z ^= z >> 27;
+            slot = (z % workers as u64) as usize;
+        }
+        self.topology.worker(slot)
     }
 
     /// Home I/O server of a served block.
     pub fn home_of_served(&self, key: &BlockKey) -> Rank {
         self.topology.home_of_served(key)
-    }
-
-    /// Name of the active placement strategy.
-    pub fn placement_name(&self) -> &'static str {
-        self.placement_map.name()
     }
 
     /// Inclusive segment range of an index.
@@ -1264,35 +1092,47 @@ mod tests {
         assert_eq!(t.worker_index(Rank(3)), 2);
     }
 
+    /// The slab map: X(i,j) has 4×2 blocks over 3 workers, cut row-major
+    /// into slabs of at most ⌈8/3⌉ = 3, homes monotone in block order;
+    /// a dead worker's blocks rehash onto survivors and no other home moves.
     #[test]
-    fn round_robin_homes_stable_and_in_range() {
-        let t = Topology {
-            workers: 5,
-            io_servers: 1,
-            placement: Placement::RoundRobin,
-        };
-        for i in 0..20 {
-            let k = BlockKey::new(ArrayId(1), &[i, i + 2]);
-            let h = t.home_of_distributed(&k);
-            assert!(t.is_worker(h));
-            assert_eq!(h, t.home_of_distributed(&k));
+    fn slab_homes_are_contiguous_balanced_and_rehash_off_dead_workers() {
+        let l = layout_with(segs(16, 8, 4));
+        let keys: Vec<BlockKey> = (1..=4)
+            .flat_map(|i| (1..=2).map(move |j| BlockKey::new(ArrayId(0), &[i, j])))
+            .collect();
+        let slots: Vec<usize> = keys.iter().map(|k| l.slot_of_distributed(k)).collect();
+        assert_eq!(slots, vec![0, 0, 0, 1, 1, 1, 2, 2]);
+        for (k, &slot) in keys.iter().zip(&slots) {
+            let home = l.home_of_distributed_excluding(k, &[false; 3]);
+            assert_eq!(home, l.topology.worker(slot));
         }
-        // Adjacent blocks land on different (neighbouring) workers.
-        let h1 = t.home_of_distributed(&BlockKey::new(ArrayId(0), &[1, 1]));
-        let h2 = t.home_of_distributed(&BlockKey::new(ArrayId(0), &[2, 1]));
-        assert_ne!(h1, h2);
+        let dead = [false, true, false];
+        for (k, &slot) in keys.iter().zip(&slots) {
+            let home = l.home_of_distributed_excluding(k, &dead);
+            assert_ne!(home, l.topology.worker(1), "{k:?} homed on the dead worker");
+            if slot != 1 {
+                assert_eq!(home, l.topology.worker(slot), "{k:?} moved");
+            }
+            assert_eq!(home, l.home_of_distributed_excluding(k, &dead));
+        }
+        // A key of another rank than its array has no grid slot: the hash
+        // fallback keeps the map total.
+        let odd = BlockKey::new(ArrayId(0), &[1]);
+        assert_eq!(
+            l.slot_of_distributed(&odd),
+            (odd.placement_hash() % 3) as usize
+        );
     }
 
     #[test]
-    fn homes_are_stable_and_in_range() {
+    fn served_homes_are_stable_and_in_range() {
         let t = Topology::new(3, 2);
         for i in 0..20 {
             let k = BlockKey::new(ArrayId(0), &[i, i + 1]);
-            let h = t.home_of_distributed(&k);
-            assert!(t.is_worker(h));
-            assert_eq!(h, t.home_of_distributed(&k));
             let s = t.home_of_served(&k);
             assert!(s.0 >= 4 && s.0 <= 5);
+            assert_eq!(s, t.home_of_served(&k));
         }
     }
 

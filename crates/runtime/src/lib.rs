@@ -83,8 +83,8 @@ pub use events::{
     RecoveryEvent, TraceEvent, TraceLint, TraceSink, TraceTimeline,
 };
 pub use layout::{
-    ConfigError, CrashSchedule, FaultConfig, Layout, Placement, SegmentConfig, SipConfig,
-    SipConfigBuilder, Topology,
+    ConfigError, CrashSchedule, FaultConfig, Layout, SegmentConfig, SipConfig, SipConfigBuilder,
+    Topology,
 };
 pub use memory::{BlockManager, MemoryStats};
 pub use metrics::{
@@ -126,19 +126,6 @@ pub struct TrafficSummary {
     pub bytes: u64,
 }
 
-/// Per-rank traffic (index = rank: 0 master, then workers, then I/O servers).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RankTraffic {
-    /// Messages sent by this rank.
-    pub sent_messages: u64,
-    /// Bytes sent by this rank.
-    pub sent_bytes: u64,
-    /// Messages received by this rank.
-    pub received_messages: u64,
-    /// Bytes received by this rank.
-    pub received_bytes: u64,
-}
-
 /// Everything a SIP run returns.
 #[derive(Debug)]
 pub struct RunOutput {
@@ -155,9 +142,6 @@ pub struct RunOutput {
     pub dry_run: MemoryEstimate,
     /// Fabric traffic totals.
     pub traffic: TrafficSummary,
-    /// Per-rank traffic (rank 0 = master, then workers, then I/O servers) —
-    /// the load-balance view the placement ablation reads.
-    pub traffic_per_rank: Vec<RankTraffic>,
     /// The merged cross-rank event timeline (`Some` when tracing was
     /// enabled via [`SipConfig::trace`] or a `trace_path`).
     pub trace: Option<TraceTimeline>,
@@ -217,11 +201,7 @@ impl Sip {
         program: Program,
         bindings: &ConstBindings,
     ) -> Result<RunOutput, RuntimeError> {
-        let topology = Topology {
-            workers: self.config.workers,
-            io_servers: self.config.io_servers,
-            placement: self.config.placement,
-        };
+        let topology = Topology::new(self.config.workers, self.config.io_servers);
         if topology.workers == 0 {
             return Err(RuntimeError::Resolve("need at least one worker".into()));
         }
@@ -463,17 +443,6 @@ impl Sip {
             std::fs::write(path, profile.to_json())
                 .map_err(|e| RuntimeError::ServedIo(format!("write profile {path:?}: {e}")))?;
         }
-        let traffic_per_rank: Vec<RankTraffic> = (0..topology.world_size())
-            .map(|r| {
-                let c = stats.counters_of(sia_fabric::Rank(r));
-                RankTraffic {
-                    sent_messages: c.messages_sent(),
-                    sent_bytes: c.bytes_sent(),
-                    received_messages: c.messages_received(),
-                    received_bytes: c.bytes_received(),
-                }
-            })
-            .collect();
         Ok(RunOutput {
             scalars,
             collected,
@@ -484,7 +453,6 @@ impl Sip {
                 messages: stats.total_messages_sent(),
                 bytes: stats.total_bytes_sent(),
             },
-            traffic_per_rank,
             trace,
         })
     }
@@ -495,11 +463,7 @@ impl Sip {
         program: Program,
         bindings: &ConstBindings,
     ) -> Result<MemoryEstimate, RuntimeError> {
-        let topology = Topology {
-            workers: self.config.workers,
-            io_servers: self.config.io_servers,
-            placement: self.config.placement,
-        };
+        let topology = Topology::new(self.config.workers, self.config.io_servers);
         let layout = Layout::new(Arc::new(program), bindings, self.config.segments, topology)?;
         Ok(dryrun::estimate(&layout, &self.config))
     }
@@ -511,11 +475,7 @@ impl Sip {
         program: Program,
         bindings: &ConstBindings,
     ) -> Result<(MemoryEstimate, plan::CommPlan), RuntimeError> {
-        let topology = Topology {
-            workers: self.config.workers,
-            io_servers: self.config.io_servers,
-            placement: self.config.placement,
-        };
+        let topology = Topology::new(self.config.workers, self.config.io_servers);
         let layout = Layout::new(Arc::new(program), bindings, self.config.segments, topology)?;
         let estimate = dryrun::estimate(&layout, &self.config);
         let trace = trace::generate_with_densities(

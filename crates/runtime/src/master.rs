@@ -17,7 +17,7 @@
 use crate::error::{CommKind, RuntimeError};
 use crate::events::{EventKind, RecoveryEvent, TraceEvent, TraceSink};
 use crate::ft;
-use crate::layout::{FaultConfig, Layout, Placement};
+use crate::layout::{FaultConfig, Layout};
 use crate::metrics::{Merge, RecoveryStats, ServerStats};
 use crate::msg::{BarrierKind, BlockKey, OpId, SipMsg};
 use crate::plan::CommPlan;
@@ -36,11 +36,12 @@ use std::time::{Duration, Instant};
 struct PardoSched {
     space: IterationSpace,
     sched: GuidedScheduler,
-    /// Owner-compute affinity (planned placement only): per-worker queues
-    /// of indices into `space.iters`, each queue holding the iterations
-    /// whose output block is homed at that worker. Requests are served
-    /// from the requester's queue first, stealing from the fullest other
-    /// queue when it drains — guided chunk sizing is unchanged.
+    /// Owner-compute affinity (regions with an owner-compute `put`):
+    /// per-worker queues of indices into `space.iters`, each queue holding
+    /// the iterations whose output block is homed at that worker. Requests
+    /// are served from the requester's queue first, stealing from the
+    /// fullest other queue when it drains — guided chunk sizing is
+    /// unchanged.
     affinity: Option<Vec<VecDeque<u64>>>,
     /// Workers told "no more chunks" (scheduler dropped when all have been).
     drained_notices: usize,
@@ -151,8 +152,7 @@ pub struct Master {
     epoch_pending: Option<(u64, usize)>,
     // ---- communication plan -------------------------------------------------
     /// The derived communication plan (empty default unless the runtime
-    /// installs one); drives owner-compute chunk affinity under planned
-    /// placement.
+    /// installs one); drives owner-compute chunk affinity.
     plan: Arc<CommPlan>,
     // ---- observability ------------------------------------------------------
     trace: TraceSink,
@@ -322,26 +322,23 @@ impl Master {
             }
             let sched =
                 GuidedScheduler::with_policy(space.len() as u64, self.workers(), self.chunk_policy);
-            // Owner-compute affinity: under planned placement, bucket the
-            // iterations by the home of the block each one writes, so the
-            // writing rank is (preferentially) the owning rank and the put
-            // short-circuits locally.
-            let affinity = if self.layout.topology.placement == Placement::Planned {
-                self.plan
-                    .region(pardo_pc)
-                    .and_then(|r| r.owner.as_ref())
-                    .map(|oc| {
-                        let w = self.layout.topology.workers;
-                        let mut buckets: Vec<VecDeque<u64>> = vec![VecDeque::new(); w];
-                        for (i, iter) in space.iters.iter().enumerate() {
-                            let slot = self.layout.slot_of_distributed(&oc.key_of(iter));
-                            buckets[slot % w].push_back(i as u64);
-                        }
-                        buckets
-                    })
-            } else {
-                None
-            };
+            // Owner-compute affinity: bucket the iterations by the home of
+            // the block each one writes, so the writing rank is
+            // (preferentially) the owning rank and the put short-circuits
+            // locally.
+            let affinity = self
+                .plan
+                .region(pardo_pc)
+                .and_then(|r| r.owner.as_ref())
+                .map(|oc| {
+                    let w = self.layout.topology.workers;
+                    let mut buckets: Vec<VecDeque<u64>> = vec![VecDeque::new(); w];
+                    for (i, iter) in space.iters.iter().enumerate() {
+                        let slot = self.layout.slot_of_distributed(&oc.key_of(iter));
+                        buckets[slot].push_back(i as u64);
+                    }
+                    buckets
+                });
             self.schedulers.insert(
                 (pardo_pc, epoch),
                 PardoSched {

@@ -1,13 +1,15 @@
 //! The communication planner (DESIGN.md §17).
 //!
 //! The paper's SIP fixes block homes with a static hash and ships every
-//! block point-to-point. The planner recovers the structure that policy
-//! throws away: it walks the bytecode once, and for every pardo region
-//! classifies each distributed-array reference as
+//! block point-to-point. Here block homes follow the layout's slab map
+//! ([`Layout::slot_of_distributed`]), and the planner recovers the
+//! structure a blind point-to-point policy throws away: it walks the
+//! bytecode once, and for every pardo region classifies each
+//! distributed-array reference as
 //!
-//! * **aligned** — a `put` whose indices are all pardo-bound, so under the
-//!   planned placement plus owner-compute chunk affinity the write lands on
-//!   the rank that already homes the block (no fabric traffic at all);
+//! * **aligned** — a `put` whose indices are all pardo-bound, so with
+//!   owner-compute chunk affinity the write lands on the rank that already
+//!   homes the block (no fabric traffic at all);
 //! * **broadcast-shaped** — a `get` whose indices are all pardo-bound but
 //!   form a *strict subset* of the pardo indices, so many iterations (on
 //!   many ranks) read the same block. These ship via tree multicast from
@@ -22,9 +24,7 @@
 //!
 //! The planner also predicts a per-rank communication-volume table
 //! (`sial dryrun` prints it; metrics compare it against the measured
-//! volume) and exports an aggregate [`PlanSummary`] that the `sia-sim`
-//! strong-scaling model extrapolates to simulated rank counts far beyond
-//! one host.
+//! volume) and an aggregate [`PlanSummary`] of the broadcast traffic.
 
 use crate::layout::Layout;
 use crate::msg::BlockKey;
@@ -44,6 +44,23 @@ pub struct BroadcastOp {
     pub blocks: u64,
     /// Bytes of one (declared-shape) block.
     pub block_bytes: u64,
+}
+
+impl BroadcastOp {
+    /// Every block the operand addresses, in row-major order: the one walk
+    /// over its block grid, shared by the planner's volume model and the
+    /// worker's multicast push.
+    pub fn keys<'a>(&'a self, layout: &'a Layout) -> impl Iterator<Item = BlockKey> + 'a {
+        (0..self.blocks).map(move |mut linear| {
+            let mut segs = [0i64; 8];
+            for (d, &i) in self.indices.iter().enumerate().rev() {
+                let len = layout.range_len(i);
+                segs[d] = layout.range(i).0 + (linear % len) as i64;
+                linear /= len;
+            }
+            BlockKey::new(self.array, &segs[..self.indices.len()])
+        })
+    }
 }
 
 /// Owner-compute affinity for a pardo region: the distributed array whose
@@ -120,21 +137,15 @@ impl CommVolume {
     }
 }
 
-/// Aggregate byte classes the strong-scaling model extrapolates over
-/// simulated rank counts (all summed over every pardo region, all
-/// iterations).
+/// Aggregate broadcast traffic, summed over every pardo region (`sial
+/// dryrun` prints it).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanSummary {
-    /// Bytes of fully-pardo-bound distributed puts (local under
-    /// owner-compute, remote with probability (P−1)/P under hash).
-    pub aligned_put_bytes: u64,
     /// Distinct broadcast-shaped blocks × their byte size (bytes shipped to
-    /// *each* consuming rank once, whatever the transport).
+    /// *each* consuming rank once).
     pub broadcast_bytes: u64,
-    /// Distinct broadcast-shaped blocks (message-count model).
+    /// Distinct broadcast-shaped blocks.
     pub broadcast_blocks: u64,
-    /// All remaining get/put/request/prepare bytes (uniformly spread).
-    pub other_bytes: u64,
 }
 
 /// The whole-program communication plan.
@@ -142,10 +153,9 @@ pub struct PlanSummary {
 pub struct CommPlan {
     /// Per-pardo-region plans, keyed by `PardoStart` pc.
     pub regions: BTreeMap<u32, RegionPlan>,
-    /// Predicted per-rank fabric volume under the layout's configured
-    /// placement.
+    /// Predicted per-rank fabric volume.
     pub volume: CommVolume,
-    /// Aggregate classes for the scaling model.
+    /// Aggregate broadcast traffic.
     pub summary: PlanSummary,
 }
 
@@ -339,19 +349,15 @@ impl<'a> CommPlanner<'a> {
         }
     }
 
-    /// Predicts per-rank fabric bytes under the configured placement, plus
-    /// the aggregate summary for the scaling model.
+    /// Predicts per-rank fabric bytes, plus the aggregate broadcast summary.
     ///
     /// The model is deliberately simple: aligned puts land at the written
-    /// block's home (local — zero fabric bytes — when the placement is
-    /// planned and the region has owner-compute affinity); each broadcast
-    /// block reaches every worker once, with the *outbound* side
-    /// concentrated at the home under point-to-point shipping but spread
-    /// along the multicast tree under the planned schedule; everything
-    /// else is spread uniformly with a (W−1)/W remote fraction.
+    /// block's home, which owner-compute affinity makes local (zero fabric
+    /// bytes); each broadcast block reaches every worker once, with the
+    /// *outbound* side spread along the multicast tree; everything else is
+    /// spread uniformly with a (W−1)/W remote fraction.
     fn predict(&self, regions: &BTreeMap<u32, RegionPlan>) -> (CommVolume, PlanSummary) {
         let workers = self.layout.topology.workers;
-        let planned = self.layout.placement_name() == "planned";
         let mut vol = CommVolume::new(workers);
         let mut sum = PlanSummary::default();
         if workers == 0 {
@@ -385,24 +391,17 @@ impl<'a> CommPlanner<'a> {
                     bcast_get_discount_per_iter += b.block_bytes - eff;
                     sum.broadcast_blocks += b.blocks;
                     sum.broadcast_bytes += b.blocks * eff;
-                    self.spread_broadcast(&mut vol, b, planned);
+                    self.spread_broadcast(&mut vol, b);
                 }
             }
 
-            // Aligned puts: enumerate the written grid and charge homes.
+            // Aligned puts are local under owner-compute: no traffic.
             let mut aligned_put_bytes_per_iter = 0u64;
             let mut aligned_put_discount_per_iter = 0u64;
             if let Some(OwnerCompute { array, .. }) = region.and_then(|r| r.owner.as_ref()) {
                 let bytes = self.layout.block_bytes(*array);
-                let eff = self.effective_bytes(*array, bytes);
                 aligned_put_bytes_per_iter = bytes;
-                aligned_put_discount_per_iter = bytes - eff;
-                let blocks = self.layout.total_blocks(*array);
-                sum.aligned_put_bytes += blocks * eff;
-                if !planned {
-                    self.spread_puts(&mut vol, *array, remote);
-                }
-                // Planned + owner-compute: the put is local. No traffic.
+                aligned_put_discount_per_iter = bytes - self.effective_bytes(*array, bytes);
             }
 
             // Everything else from the trace, uniformly spread. Bytes are
@@ -428,7 +427,6 @@ impl<'a> CommPlanner<'a> {
                         * (per_iter.request_discount_bytes + per_iter.prepare_discount_bytes),
                 );
             let other = (other_get + other_put + served) as f64;
-            sum.other_bytes += other.round() as u64;
             // in + out for each transferred byte, remote fraction (W−1)/W.
             let per_rank = other * remote * 2.0 / w;
             for v in vol.per_rank.iter_mut() {
@@ -438,107 +436,35 @@ impl<'a> CommPlanner<'a> {
         (vol, sum)
     }
 
-    /// Charges one broadcast operand's traffic to the volume table.
-    fn spread_broadcast(&self, vol: &mut CommVolume, b: &BroadcastOp, planned: bool) {
+    /// Charges one broadcast operand's multicast traffic to the volume
+    /// table.
+    fn spread_broadcast(&self, vol: &mut CommVolume, b: &BroadcastOp) {
         let workers = self.layout.topology.workers;
         let w = workers as f64;
-        let eff_bytes = self.effective_bytes(b.array, b.block_bytes);
-        let cost = b.blocks * workers as u64;
-        if cost > ENUMERATION_LIMIT {
-            // Uniform fallback: every rank receives each block once;
-            // outbound averages out across homes (hash) or the tree
-            // (planned) identically in aggregate.
-            let per_rank = b.blocks as f64 * eff_bytes as f64 * (2.0 * (w - 1.0) / w);
+        let bytes = self.effective_bytes(b.array, b.block_bytes) as f64;
+        if b.blocks * workers as u64 > ENUMERATION_LIMIT {
+            // Uniform fallback: every rank receives each block once, and
+            // the tree spreads the outbound side evenly in aggregate.
+            let per_rank = b.blocks as f64 * bytes * (2.0 * (w - 1.0) / w);
             for v in vol.per_rank.iter_mut() {
                 *v += per_rank;
             }
             return;
         }
-        let ranges: Vec<(i64, i64)> = b.indices.iter().map(|&i| self.layout.range(i)).collect();
-        let mut segs: Vec<i64> = ranges.iter().map(|r| r.0).collect();
-        loop {
-            let key = BlockKey::new(b.array, &segs);
+        for key in b.keys(self.layout) {
             let home = self.layout.slot_of_distributed(&key);
-            let bytes = eff_bytes as f64;
             // Every rank but the home receives the block once.
             for (i, v) in vol.per_rank.iter_mut().enumerate() {
                 if i != home {
                     *v += bytes;
                 }
             }
-            if planned {
-                // Tree multicast: the rank at tree position p forwards to
-                // its children 2p+1, 2p+2 (positions rotated so the home
-                // is the root).
-                for pos in 0..workers {
-                    let mut children = 0u64;
-                    if 2 * pos + 1 < workers {
-                        children += 1;
-                    }
-                    if 2 * pos + 2 < workers {
-                        children += 1;
-                    }
-                    let rank = (home + pos) % workers;
-                    vol.per_rank[rank] += bytes * children as f64;
-                }
-            } else {
-                // Point-to-point: the home answers W−1 GETs itself.
-                vol.per_rank[home] += bytes * (workers as f64 - 1.0);
-            }
-            // Advance the odometer.
-            let mut d = segs.len();
-            loop {
-                if d == 0 {
-                    return;
-                }
-                d -= 1;
-                segs[d] += 1;
-                if segs[d] <= ranges[d].1 {
-                    break;
-                }
-                segs[d] = ranges[d].0;
-            }
-        }
-    }
-
-    /// Charges hash-placement aligned-put traffic: each block's bytes
-    /// arrive at its home (in) and leave a uniformly-chosen writer (out).
-    fn spread_puts(&self, vol: &mut CommVolume, array: ArrayId, remote: f64) {
-        let workers = self.layout.topology.workers;
-        let w = workers as f64;
-        let bytes = self.effective_bytes(array, self.layout.block_bytes(array)) as f64;
-        let blocks = self.layout.total_blocks(array);
-        if blocks * workers as u64 > ENUMERATION_LIMIT {
-            let per_rank = blocks as f64 * bytes * remote * 2.0 / w;
-            for v in vol.per_rank.iter_mut() {
-                *v += per_rank;
-            }
-            return;
-        }
-        let decl = &self.layout.program.arrays[array.index()];
-        let ranges: Vec<(i64, i64)> = decl.dims.iter().map(|&i| self.layout.range(i)).collect();
-        if ranges.is_empty() {
-            return;
-        }
-        let mut segs: Vec<i64> = ranges.iter().map(|r| r.0).collect();
-        loop {
-            let key = BlockKey::new(array, &segs);
-            let home = self.layout.slot_of_distributed(&key);
-            vol.per_rank[home] += bytes * remote;
-            for v in vol.per_rank.iter_mut() {
-                *v += bytes * remote / w;
-            }
-            let mut d = segs.len();
-            loop {
-                if d == 0 {
-                    return;
-                }
-                d -= 1;
-                segs[d] += 1;
-                if segs[d] <= ranges[d].1 {
-                    break;
-                }
-                segs[d] = ranges[d].0;
+            // Tree multicast: the rank at tree position p forwards to its
+            // children 2p+1, 2p+2 (positions rotated so the home is the
+            // root).
+            for pos in 0..workers {
+                let children = (2 * pos + 1 < workers) as u64 + (2 * pos + 2 < workers) as u64;
+                vol.per_rank[(home + pos) % workers] += bytes * children as f64;
             }
         }
     }
@@ -547,18 +473,17 @@ impl<'a> CommPlanner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::{Placement, SegmentConfig, Topology};
+    use crate::layout::{SegmentConfig, Topology};
     use crate::trace::{default_cost_model, generate};
     use sia_bytecode::ConstBindings;
     use std::sync::Arc;
 
-    fn plan_of(src: &str, n: i64, placement: Placement) -> (Arc<Layout>, CommPlan) {
+    fn plan_of(src: &str, n: i64) -> (Arc<Layout>, CommPlan) {
         let program = sial_frontend::compile(src).unwrap();
         let mut b = ConstBindings::new();
         b.insert("n".into(), n);
         b.insert("nocc".into(), 2);
-        let mut topo = Topology::new(3, 1);
-        topo.placement = placement;
+        let topo = Topology::new(3, 1);
         let layout = Arc::new(
             Layout::new(
                 Arc::new(program),
@@ -580,7 +505,7 @@ mod tests {
 
     #[test]
     fn broadcast_operand_detected() {
-        let (_, plan) = plan_of(BCAST, 4, Placement::Planned);
+        let (_, plan) = plan_of(BCAST, 4);
         let region = plan.regions.values().next().unwrap();
         assert_eq!(region.broadcast.len(), 1, "{region:?}");
         let b = &region.broadcast[0];
@@ -593,7 +518,7 @@ mod tests {
         // R is read with all pardo indices — each iteration gets its own
         // block, nothing to multicast.
         let src = "sial t\naoindex M = 1, n\naoindex N = 1, n\ndistributed R(M,N)\ntemp q(M,N)\npardo M, N\nget R(M,N)\nq(M,N) = R(M,N)\nendpardo\nendsial\n";
-        let (_, plan) = plan_of(src, 4, Placement::Planned);
+        let (_, plan) = plan_of(src, 4);
         let region = plan.regions.values().next().unwrap();
         assert!(region.broadcast.is_empty());
     }
@@ -603,7 +528,7 @@ mod tests {
         let src = "sial t\naoindex M = 1, n\naoindex N = 1, n\ndistributed F(M)\ntemp q(M)\npardo M, N\nget F(M)\nq(M) = F(M)\nput F(M) = q(M)\nendpardo\nendsial\n";
         // F is both read and written in the body — a multicast copy could
         // race the in-region write, so it must not classify as broadcast.
-        let (_, plan) = plan_of(src, 4, Placement::Planned);
+        let (_, plan) = plan_of(src, 4);
         let region = plan.regions.values().next().unwrap();
         assert!(region.broadcast.is_empty());
     }
@@ -611,14 +536,14 @@ mod tests {
     #[test]
     fn inner_do_get_not_broadcast() {
         let src = "sial t\naoindex M = 1, n\naoindex L = 1, n\ndistributed X(M,L)\ntemp q(M,L)\npardo M\ndo L\nget X(M,L)\nq(M,L) = X(M,L)\nenddo L\nendpardo\nendsial\n";
-        let (_, plan) = plan_of(src, 4, Placement::Planned);
+        let (_, plan) = plan_of(src, 4);
         let region = plan.regions.values().next().unwrap();
         assert!(region.broadcast.is_empty());
     }
 
     #[test]
     fn owner_compute_detected_and_keys_map() {
-        let (_, plan) = plan_of(BCAST, 4, Placement::Planned);
+        let (_, plan) = plan_of(BCAST, 4);
         let region = plan.regions.values().next().unwrap();
         let owner = region.owner.as_ref().expect("owner-compute");
         // pardo M, N; put R(M,N): dim 0 ← pardo pos 0, dim 1 ← pos 1.
@@ -630,35 +555,21 @@ mod tests {
     #[test]
     fn accumulate_put_disables_owner_compute() {
         let src = "sial t\naoindex M = 1, n\naoindex N = 1, n\ndistributed R(M)\ntemp q(M)\npardo M, N\nq(M) = 1.0\nput R(M) += q(M)\nendpardo\nendsial\n";
-        let (_, plan) = plan_of(src, 4, Placement::Planned);
+        let (_, plan) = plan_of(src, 4);
         let region = plan.regions.values().next().unwrap();
         assert!(region.owner.is_none());
     }
 
     #[test]
     fn plan_deterministic() {
-        let (_, a) = plan_of(BCAST, 4, Placement::Planned);
-        let (_, b) = plan_of(BCAST, 4, Placement::Planned);
+        let (_, a) = plan_of(BCAST, 4);
+        let (_, b) = plan_of(BCAST, 4);
         assert_eq!(a, b);
     }
 
     #[test]
-    fn planned_volume_not_worse_than_hash() {
-        let (_, hash) = plan_of(BCAST, 6, Placement::Hash);
-        let (_, planned) = plan_of(BCAST, 6, Placement::Planned);
-        assert!(
-            planned.volume.total() <= hash.volume.total(),
-            "planned {} > hash {}",
-            planned.volume.total(),
-            hash.volume.total()
-        );
-        // The aligned puts vanish entirely under owner-compute.
-        assert!(planned.volume.total() < hash.volume.total());
-    }
-
-    #[test]
     fn volume_table_renders() {
-        let (_, plan) = plan_of(BCAST, 4, Placement::Planned);
+        let (_, plan) = plan_of(BCAST, 4);
         let table = plan.volume_table();
         assert!(table.contains("predicted comm volume per rank:"));
         assert!(table.contains("imbalance"));
@@ -666,8 +577,7 @@ mod tests {
 
     #[test]
     fn summary_classes_populated() {
-        let (_, plan) = plan_of(BCAST, 4, Placement::Planned);
-        assert!(plan.summary.aligned_put_bytes > 0);
+        let (_, plan) = plan_of(BCAST, 4);
         assert!(plan.summary.broadcast_bytes > 0);
         assert_eq!(plan.summary.broadcast_blocks, 4);
     }

@@ -552,11 +552,7 @@ impl Daemon {
     /// The admission footprint of a job: its dry-run per-worker bytes times
     /// workers, plus per-server bytes times I/O servers.
     pub fn footprint(spec: &JobSpec) -> Result<u64, RuntimeError> {
-        let topology = Topology {
-            workers: spec.config.workers,
-            io_servers: spec.config.io_servers,
-            placement: spec.config.placement,
-        };
+        let topology = Topology::new(spec.config.workers, spec.config.io_servers);
         let layout = Layout::new(
             Arc::new(spec.program.clone()),
             &spec.bindings,

@@ -10,7 +10,7 @@ use crate::cache::{BlockGet, CacheEntry};
 use crate::error::{CommKind, RuntimeError};
 use crate::events::{CommOp, EventKind, RecoveryEvent, TraceSink};
 use crate::ft::{self, FetchState, FtState, JournalEntry, TakeoverChunk};
-use crate::layout::{Layout, Placement, SipConfig};
+use crate::layout::{Layout, SipConfig};
 use crate::memory::BlockManager;
 use crate::metrics::WaitCause;
 use crate::msg::{BarrierKind, BlockKey, OpId, SipMsg};
@@ -154,7 +154,7 @@ pub struct Worker {
     // ---- communication plan ----
     /// The derived communication plan (an empty default unless the runtime
     /// installs one before the program starts). Drives the pardo-entry
-    /// multicast push under planned placement.
+    /// multicast push.
     pub(crate) plan: Arc<CommPlan>,
     /// Multicast forwards staged on the endpoint but not yet flushed (set
     /// while draining a batch so consecutive forwards coalesce).
@@ -540,65 +540,40 @@ impl Worker {
     // ---- multicast ------------------------------------------------------------
 
     /// Pushes this worker's broadcast-shaped home blocks down their
-    /// multicast trees on pardo entry (planned placement only; a no-op
-    /// otherwise). Best-effort: a receiver that already crossed a barrier
-    /// drops the stale copy and its consumers fall back to demand GETs.
+    /// multicast trees on pardo entry (a no-op on one worker). Best-effort:
+    /// a receiver that already crossed a barrier drops the stale copy and
+    /// its consumers fall back to demand GETs.
     pub(crate) fn multicast_push(&mut self, pardo_pc: u32) {
-        if self.layout.topology.placement != Placement::Planned {
-            return;
-        }
-        let workers = self.layout.topology.workers;
-        if workers < 2 {
+        if self.layout.topology.workers < 2 {
             return;
         }
         let plan = Arc::clone(&self.plan);
+        let layout = Arc::clone(&self.layout);
         let Some(region) = plan.region(pardo_pc) else {
             return;
         };
         let own = self.worker_index();
         for b in &region.broadcast {
-            let ranges: Vec<(i64, i64)> = b.indices.iter().map(|&i| self.layout.range(i)).collect();
-            if ranges.is_empty() {
-                continue;
-            }
-            let mut segs: Vec<i64> = ranges.iter().map(|r| r.0).collect();
-            loop {
-                let key = BlockKey::new(b.array, &segs);
-                if self.layout.slot_of_distributed(&key) == own {
-                    match self.mem.serve_home(&key) {
-                        Some(data) => {
-                            let flight = self.new_multicast_hop(key, 0);
-                            self.multicast_forward(key, data, self.dist_epoch, 0, flight);
-                        }
-                        // A sparse array's absent block rides the same tree
-                        // as a lightweight norm record, so consumers don't
-                        // each pay a point-to-point GET just to learn
-                        // absence. Dense unfilled blocks stay on the demand
-                        // path (they read as zeros there).
-                        None if self.layout.array_sparse(key.array) => {
-                            let norm = self.mem.home_absent_norm(&key).unwrap_or(0.0);
-                            let flight = self.new_multicast_hop(key, 0);
-                            self.multicast_forward_absent(key, norm, self.dist_epoch, 0, flight);
-                        }
-                        None => {}
-                    }
+            for key in b.keys(&layout) {
+                if layout.slot_of_distributed(&key) != own {
+                    continue;
                 }
-                let mut d = segs.len();
-                let mut done = false;
-                loop {
-                    if d == 0 {
-                        done = true;
-                        break;
+                match self.mem.serve_home(&key) {
+                    Some(data) => {
+                        let flight = self.new_multicast_hop(key, 0);
+                        self.multicast_forward(key, data, self.dist_epoch, 0, flight);
                     }
-                    d -= 1;
-                    segs[d] += 1;
-                    if segs[d] <= ranges[d].1 {
-                        break;
+                    // A sparse array's absent block rides the same tree as a
+                    // lightweight norm record, so consumers don't each pay a
+                    // point-to-point GET just to learn absence. Dense
+                    // unfilled blocks stay on the demand path (they read as
+                    // zeros there).
+                    None if layout.array_sparse(key.array) => {
+                        let norm = self.mem.home_absent_norm(&key).unwrap_or(0.0);
+                        let flight = self.new_multicast_hop(key, 0);
+                        self.multicast_forward_absent(key, norm, self.dist_epoch, 0, flight);
                     }
-                    segs[d] = ranges[d].0;
-                }
-                if done {
-                    break;
+                    None => {}
                 }
             }
         }
@@ -891,11 +866,12 @@ impl Worker {
     /// This is the *single* accounting point for wait time: every blocked
     /// interval lands in the cause-attributed `metrics.wait` totals exactly
     /// once, here — callers that also fold the returned duration into a
-    /// per-pc figure are attributing, not re-counting.
+    /// per-pc figure are attributing, not re-counting. `what` names the
+    /// awaited event in errors only, so it is formatted only on an error.
     pub(crate) fn wait_until(
         &mut self,
         cause: WaitCause,
-        what: &str,
+        what: impl std::fmt::Display,
         mut done: impl FnMut(&Self) -> bool,
     ) -> Result<Duration, RuntimeError> {
         let t0 = Instant::now();
@@ -1068,10 +1044,11 @@ impl Worker {
             // next lookup shares it — eviction only runs on this thread, so
             // it cannot vanish in between) or evicted/absent (loop re-arms
             // the fetch).
-            let waited =
-                self.wait_until(WaitCause::BlockArrival, &format!("block {key:?}"), |w| {
-                    !matches!(w.mem.cache_peek(&key), Some(CacheEntry::InFlight))
-                })?;
+            let waited = self.wait_until(
+                WaitCause::BlockArrival,
+                format_args!("block {key:?}"),
+                |w| !matches!(w.mem.cache_peek(&key), Some(CacheEntry::InFlight)),
+            )?;
             // Time blocked on a fetch is comm latency the prefetcher failed
             // to hide — the "exposed" half of the overlap metric.
             self.profile.metrics.comm.exposed_nanos += waited.as_nanos() as u64;
@@ -1095,7 +1072,6 @@ impl Worker {
             ReqId::NONE
         };
         self.profile.metrics.comm.fetches += 1;
-        self.flights.insert(key, (Instant::now(), req.0));
         if let Some(ft) = self.ft.as_mut() {
             let timeout = ft.cfg.retry_timeout;
             ft.fetches.insert(
@@ -1124,6 +1100,9 @@ impl Worker {
         } else {
             self.endpoint.send(home, msg)?;
         }
+        // The flight clock starts once the request is on the fabric: issuing
+        // it is the requester's own work, not flight that computation hides.
+        self.flights.insert(key, (Instant::now(), req.0));
         Ok(())
     }
 

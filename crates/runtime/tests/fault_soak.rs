@@ -4,19 +4,31 @@
 //!
 //! The soak program uses only `put =` (Replace) into unique keys, so its
 //! collected output is bitwise-deterministic even fault-free — any deviation
-//! under faults is a real retry/recovery bug, not floating-point reordering.
+//! under faults from a 1-worker run is a real retry/recovery bug, not
+//! floating-point reordering.
 
 use sia_bytecode::ConstBindings;
 use sia_runtime::{CrashSchedule, FaultConfig, FaultPlan, RunOutput, Sip, SipConfig};
 
+/// Under owner-compute every `put X(i,j)` lands on its own home, so the
+/// second pardo transposes `X` into `Y`: `X(j,i)` is homed in another slab
+/// than `Y(i,j)` off the diagonal, which keeps gets and their replies on
+/// the fabric for the faults to hit.
 const SOAK: &str = "sial soak
 aoindex i = 1, n
 aoindex j = 1, n
 distributed X(i,j)
+distributed Y(i,j)
 temp t(i,j)
 pardo i, j
   t(i,j) = 100.0 * i + j
   put X(i,j) = t(i,j)
+endpardo i, j
+sip_barrier
+pardo i, j
+  get X(j,i)
+  t(i,j) = X(j,i)
+  put Y(i,j) = t(i,j)
 endpardo i, j
 sip_barrier
 endsial
@@ -61,7 +73,7 @@ fn assert_bitwise_equal(a: &RunOutput, b: &RunOutput) {
 /// must reconstruct the exact fault-free answer.
 #[test]
 fn seeded_fault_plan_preserves_results_bitwise() {
-    let clean = run_soak(6, soak_config(3, None));
+    let clean = run_soak(6, soak_config(1, None));
 
     let mut plan = FaultPlan::seeded(0xC0FFEE);
     plan.drop = 0.05;
@@ -87,7 +99,7 @@ fn seeded_fault_plan_preserves_results_bitwise() {
 /// its unacked chunks to survivors and the result is still bitwise-exact.
 #[test]
 fn worker_crash_mid_pardo_recovers_bitwise() {
-    let clean = run_soak(6, soak_config(3, None));
+    let clean = run_soak(6, soak_config(1, None));
 
     let mut plan = FaultPlan::seeded(0xBAD5EED);
     plan.drop = 0.03;

@@ -5,12 +5,27 @@
 use sia_bytecode::ConstBindings;
 use sia_runtime::prelude::*;
 use sia_runtime::{lint_chrome_trace, lint_profile_json};
+use std::sync::{Mutex, MutexGuard};
 
-/// A two-phase program whose second phase gets a remote block and uses it
-/// on the very next instruction: with prefetch off every flight is fully
+/// The overlap readings are wall-clock ratios. The tests of one binary run
+/// on parallel threads, and on a host with few CPUs a concurrent run
+/// deschedules a requester inside its get→use gap (read as hidden flight)
+/// or a home before it answers (read as a longer flight). Every test here
+/// holds this lock while it runs programs, so no reading shares the CPUs
+/// with another test's run.
+static RUNS: Mutex<()> = Mutex::new(());
+
+fn exclusive() -> MutexGuard<'static, ()> {
+    RUNS.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// A two-phase program whose second phase gets a block and uses it on the
+/// very next instruction: with prefetch off every remote flight is fully
 /// exposed, with look-ahead the next row's flights hide under the blocked
-/// wait and the accumulate.
-const OVERLAP_SRC: &str = r#"
+/// wait and the accumulate. `walk` is the second phase's block reference.
+fn probe_src(walk: &str) -> String {
+    format!(
+        r#"
 sial overlap_probe
 aoindex i = 1, n
 aoindex j = 1, n
@@ -24,17 +39,32 @@ endpardo i, j
 sip_barrier
 pardo i
   do j
-    get X(i,j)
-    acc += X(i,j) * X(i,j)
+    get {walk}
+    acc += {walk} * {walk}
   enddo j
 endpardo i
 sip_barrier
 execute sip_allreduce acc
 endsial
-"#;
+"#
+    )
+}
 
-fn run_overlap(prefetch: usize, trace: bool) -> RunOutput {
-    let program = sial_frontend::compile(OVERLAP_SRC).unwrap();
+/// The overlap probe walks a row of `X`: a row is remote on every worker
+/// the scheduler hands it to other than the row's slab owner.
+fn overlap_src() -> String {
+    probe_src("X(i,j)")
+}
+
+/// The trace probe walks a column: it crosses every row-major slab, so
+/// every worker fetches remote blocks whatever rows it is handed and every
+/// rank's timeline carries comm flights.
+fn column_src() -> String {
+    probe_src("X(j,i)")
+}
+
+fn run_probe(src: &str, prefetch: usize, trace: bool) -> RunOutput {
+    let program = sial_frontend::compile(src).unwrap();
     let mut bindings = ConstBindings::new();
     bindings.insert("n".into(), 6);
     let config = SipConfig::builder()
@@ -49,8 +79,13 @@ fn run_overlap(prefetch: usize, trace: bool) -> RunOutput {
     Sip::new(config).run(program, &bindings).unwrap()
 }
 
+fn run_overlap(prefetch: usize, trace: bool) -> RunOutput {
+    run_probe(&overlap_src(), prefetch, trace)
+}
+
 #[test]
 fn serialized_gets_expose_flights_prefetch_hides_them() {
+    let _runs = exclusive();
     let serial = run_overlap(0, false);
     let ahead = run_overlap(4, false);
     let sc = serial.profile.metrics.comm;
@@ -75,6 +110,7 @@ fn serialized_gets_expose_flights_prefetch_hides_them() {
 
 #[test]
 fn wait_time_is_attributed_by_cause() {
+    let _runs = exclusive();
     let out = run_overlap(0, false);
     let wait = &out.profile.metrics.wait;
     assert!(
@@ -104,7 +140,8 @@ fn wait_time_is_attributed_by_cause() {
 
 #[test]
 fn trace_covers_every_rank_and_lints_clean() {
-    let out = run_overlap(2, true);
+    let _runs = exclusive();
+    let out = run_probe(&column_src(), 2, true);
     let tl = out.trace.as_ref().expect("tracing was enabled");
     // master (0) + 2 workers (1, 2) + 1 I/O server (3).
     let ranks: Vec<usize> = tl.ranks.iter().map(|r| r.rank).collect();
@@ -138,12 +175,13 @@ fn trace_covers_every_rank_and_lints_clean() {
 
 #[test]
 fn trace_and_profile_files_are_written_and_lint() {
+    let _runs = exclusive();
     let dir = std::env::temp_dir().join(format!("sia-obs-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let trace_path = dir.join("trace.json");
     let profile_path = dir.join("profile.json");
 
-    let program = sial_frontend::compile(OVERLAP_SRC).unwrap();
+    let program = sial_frontend::compile(&overlap_src()).unwrap();
     let mut bindings = ConstBindings::new();
     bindings.insert("n".into(), 4);
     let config = SipConfig::builder()
@@ -166,6 +204,7 @@ fn trace_and_profile_files_are_written_and_lint() {
 
 #[test]
 fn tracing_off_leaves_no_timeline() {
+    let _runs = exclusive();
     let out = run_overlap(2, false);
     assert!(out.trace.is_none());
     assert!(

@@ -1,11 +1,12 @@
 //! Property tests for the SIP: scheduler partitioning, where-clause
 //! filtering vs brute force, accumulate-commutativity under real concurrent
-//! execution, and dry-run consistency.
+//! execution, and dry-run consistency (including the slab map's homes).
 
 use proptest::prelude::*;
-use sia_bytecode::{BoolExpr, CmpOp, ConstBindings, IndexId, ScalarExpr};
+use sia_bytecode::{ArrayId, BoolExpr, CmpOp, ConstBindings, IndexId, ScalarExpr};
 use sia_runtime::scheduler::{GuidedScheduler, IterationSpace};
-use sia_runtime::{Sip, SipConfig};
+use sia_runtime::{BlockKey, Layout, Sip, SipConfig, Topology};
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -127,6 +128,64 @@ proptest! {
             "estimate {} × {workers} < actual {actual_bytes}",
             estimate.per_worker_bytes
         );
+    }
+
+    /// The slab map homes exactly ⌈blocks / W⌉ blocks of every distributed
+    /// array on its busiest worker — the per-array figure the dry run
+    /// charges — for random shapes, index orders and worker counts.
+    #[test]
+    fn slab_homes_match_dry_run_figure(
+        dims in prop::collection::vec((1i64..4, 1i64..6), 1..4),
+        workers in 1usize..9,
+    ) {
+        let names: Vec<String> = (0..dims.len()).map(|d| format!("a{d}")).collect();
+        let mut src = String::from("sial slabs\n");
+        for (name, (lo, len)) in names.iter().zip(&dims) {
+            src += &format!("aoindex {name} = {lo}, {}\n", lo + len - 1);
+        }
+        let rev: Vec<&str> = names.iter().rev().map(String::as_str).collect();
+        src += &format!(
+            "distributed X({})\ndistributed Y({})\ndistributed Z({})\nendsial\n",
+            names.join(","),
+            rev.join(","),
+            names[0]
+        );
+        let program = sial_frontend::compile(&src).unwrap();
+        let config = SipConfig::builder()
+            .workers(workers)
+            .io_servers(0)
+            .segment_size(2)
+            .build()
+            .unwrap();
+        let estimate = Sip::new(config.clone())
+            .dry_run(program.clone(), &ConstBindings::new())
+            .unwrap();
+        let layout = Layout::new(
+            Arc::new(program),
+            &ConstBindings::new(),
+            config.segments,
+            Topology::new(workers, 0),
+        )
+        .unwrap();
+        for (a, decl) in layout.program.arrays.iter().enumerate() {
+            let id = ArrayId(a as u32);
+            let ranges: Vec<(i64, i64)> = decl.dims.iter().map(|&d| layout.range(d)).collect();
+            let mut keys = vec![Vec::new()];
+            for &(lo, hi) in &ranges {
+                keys = keys
+                    .into_iter()
+                    .flat_map(|k: Vec<i64>| (lo..=hi).map(move |s| [k.clone(), vec![s]].concat()))
+                    .collect();
+            }
+            let mut homed = vec![0u64; workers];
+            for k in &keys {
+                homed[layout.slot_of_distributed(&BlockKey::new(id, k))] += 1;
+            }
+            let bytes = estimate.breakdown.iter().find(|(n, _)| *n == decl.name).unwrap().1;
+            let figure = bytes / layout.block_bytes(id);
+            prop_assert_eq!(figure, (keys.len() as u64).div_ceil(workers as u64));
+            prop_assert_eq!(*homed.iter().max().unwrap(), figure, "{}: {:?}", decl.name, homed);
+        }
     }
 
     /// Scalar expressions inside SIAL agree with host-side arithmetic for

@@ -76,39 +76,32 @@ fn sparse_src(sparse: bool) -> String {
     )
 }
 
-fn run(src: &str, n: i64, workers: usize, threshold: f64, fault: Option<FaultConfig>) -> RunOutput {
-    run_placed(src, n, workers, threshold, fault, false)
-}
-
-fn run_placed(
-    src: &str,
-    n: i64,
-    workers: usize,
-    threshold: f64,
-    fault: Option<FaultConfig>,
-    planned: bool,
-) -> RunOutput {
-    let program = sial_frontend::compile(src).unwrap();
-    let bindings: ConstBindings = [("n".to_string(), n)].into_iter().collect();
+fn config(workers: usize, threshold: f64, fault: Option<FaultConfig>) -> SipConfig {
     let mut b = SipConfig::builder()
         .workers(workers)
         .io_servers(0)
         .segment_size(2)
         .collect_distributed(true)
         .sparsity_threshold(threshold);
-    if planned {
-        b = b.placement(sia_runtime::Placement::Planned);
-    }
     if let Some(f) = fault {
         b = b.fault(f);
     }
-    Sip::new(b.build().unwrap())
-        .run(program, &bindings)
+    b.build().unwrap()
+}
+
+fn bindings(n: i64) -> ConstBindings {
+    [("n".to_string(), n)].into_iter().collect()
+}
+
+fn run(src: &str, n: i64, workers: usize, threshold: f64, fault: Option<FaultConfig>) -> RunOutput {
+    let program = sial_frontend::compile(src).unwrap();
+    Sip::new(config(workers, threshold, fault))
+        .run(program, &bindings(n))
         .unwrap()
 }
 
-/// A broadcast-shaped sparse operand: `F(i)` is read by every `k`, so under
-/// planned placement its present blocks travel as `MulticastBlock` and its
+/// A broadcast-shaped sparse operand: `F(i)` is read by every `k`, so its
+/// present blocks travel as `MulticastBlock` and its
 /// screened-absent blocks as `MulticastAbsent` — staged down the same tree
 /// edges and coalesced into shared `Batch` envelopes.
 fn multicast_src() -> String {
@@ -227,8 +220,8 @@ proptest! {
         );
     }
 
-    /// Regression (PR 9): batched absent/real interleavings. Under planned
-    /// placement a sparse broadcast operand ships real payloads and
+    /// Regression: batched absent/real interleavings. A sparse
+    /// broadcast operand ships real payloads and
     /// typed-absent norm records through the same staged multicast
     /// envelopes; seeded drops, duplicates, and delays then deliver norm
     /// records *after* the real payload for the same key (a late-flushed
@@ -243,33 +236,30 @@ proptest! {
     ) {
         let threshold = 1e-2;
         let src = multicast_src();
-        let clean = run_placed(&src, n, 3, threshold, None, true);
+        let clean = run(&src, n, 3, threshold, None);
         let mut plan = FaultPlan::seeded(seed);
         plan.drop = 0.05;
         plan.duplicate = 0.10;
         plan.delay = 0.10;
         plan.max_delay_ops = 8;
-        let faulty = run_placed(
-            &src, n, 3, threshold, Some(FaultConfig::new(plan)), true,
-        );
+        let faulty = run(&src, n, 3, threshold, Some(FaultConfig::new(plan)));
         assert_blocks_bitwise_equal(&clean, &faulty)?;
         let (c, f) = (clean.scalars["total"], faulty.scalars["total"]);
         prop_assert!(
             (c - f).abs() <= REORDER_EPS,
             "interleaved absent/real delivery changed the reduction: clean {c} vs faulty {f}"
         );
-        // The hash-placement (no multicast) run is the ground truth both
-        // must match.
-        let hash = run_placed(&src, n, 3, threshold, None, false);
-        prop_assert!((hash.scalars["total"] - c).abs() <= REORDER_EPS);
+        // The 1-worker run (no fabric, no multicast) is the ground truth
+        // both must match.
+        let one = run(&src, n, 1, threshold, None);
+        assert_blocks_bitwise_equal(&one, &clean)?;
+        prop_assert!((one.scalars["total"] - c).abs() <= REORDER_EPS);
     }
 }
 
-/// Regression pin (PR 9): on the screened broadcast shape, planned
-/// placement must cut fabric messages against hash placement (present
-/// blocks ride the multicast tree instead of per-consumer GET
-/// round-trips), and screening must cut planned-path bytes (screened
-/// blocks ride the tree as `MulticastAbsent` norm records instead of full
+/// Regression pin: on the screened broadcast shape, present blocks ride
+/// the multicast tree, and screening cuts the tree's bytes (screened
+/// blocks ride it as `MulticastAbsent` norm records instead of full
 /// payloads). The sparse savings counter must show the absent path fired.
 #[test]
 fn multicast_absent_improves_screened_broadcast_traffic() {
@@ -277,48 +267,42 @@ fn multicast_absent_improves_screened_broadcast_traffic() {
     // data-path savings dominate control-message noise — chunk grants vary
     // a little with worker interleaving run to run, so a pin on a shape
     // with a few-dozen-byte margin would flip sign.
-    let n = 8;
+    let (n, workers) = (8, 3);
     let threshold = 1e-2;
     let src = multicast2_src();
-    let hash = run_placed(&src, n, 3, threshold, None, false);
-    let planned = run_placed(&src, n, 3, threshold, None, true);
-    assert_blocks_bitwise_equal(&hash, &planned).unwrap();
+    let one = run(&src, n, 1, threshold, None);
+    let screened = run(&src, n, workers, threshold, None);
+    assert_blocks_bitwise_equal(&one, &screened).unwrap();
     assert!(
-        (hash.scalars["total"] - planned.scalars["total"]).abs() <= REORDER_EPS,
-        "placement changed the screened reduction"
+        (one.scalars["total"] - screened.scalars["total"]).abs() <= REORDER_EPS,
+        "distribution changed the screened reduction"
     );
     // Screening must actually fire on this shape: consumers that learned of
-    // an absence credit the bytes they did not have to pull. (The absolute
-    // counts differ between paths — the tree delivers each absence once per
-    // consumer and it stays cached, while the demand path answers every
-    // fetch — so only `> 0` is pinned, not a cross-path comparison.)
-    let sp = &planned.profile.metrics.sparse;
+    // an absence credit the bytes they did not have to pull.
+    let sp = &screened.profile.metrics.sparse;
     assert!(
         sp.bytes_not_shipped > 0,
         "screened broadcast shipped every block: {sp:?}"
     );
+    // Blocks ride the tree and staged forwards coalesce.
+    let m = &screened.profile.metrics;
+    assert!(m.plan.multicast_blocks > 0, "{:?}", m.plan);
+    assert!(m.plan.coalesced_messages > 0, "{:?}", m.plan);
+    // Bytes: measured against the *unscreened* run — the same tree, but
+    // every screened block riding it as a full payload instead of a norm
+    // record.
+    let unscreened = run(&src, n, workers, 0.0, None);
+    let u = &unscreened.profile.metrics;
     assert!(
-        hash.profile.metrics.sparse.bytes_not_shipped > 0,
-        "demand path must also credit unshipped bytes"
+        m.plan.multicast_bytes < u.plan.multicast_bytes,
+        "absent records should carry no payload down the tree: screened {} vs unscreened {}",
+        m.plan.multicast_bytes,
+        u.plan.multicast_bytes
     );
-    // The improvement pins. Messages: the tree replaces per-consumer GET
-    // round-trips, a ~40% cut against demand fetching. Bytes: measured
-    // against *unscreened* planned placement — the same tree, but every
-    // screened block riding it as a full payload instead of a norm record.
-    // (Bytes against the hash path are a wash on broadcast shapes: the
-    // saved GET requests are about as small as the forwarding headers the
-    // tree adds, so that difference sits inside scheduling noise.)
     assert!(
-        planned.traffic.messages < hash.traffic.messages,
-        "planned multicast should cut messages: planned {} vs hash {}",
-        planned.traffic.messages,
-        hash.traffic.messages
-    );
-    let unscreened = run_placed(&src, n, 3, 0.0, None, true);
-    assert!(
-        planned.traffic.bytes < unscreened.traffic.bytes,
+        screened.traffic.bytes < unscreened.traffic.bytes,
         "absent records should cut multicast bytes: screened {} vs unscreened {}",
-        planned.traffic.bytes,
+        screened.traffic.bytes,
         unscreened.traffic.bytes
     );
 }

@@ -22,7 +22,7 @@ use sia::subsystems::chem::{integral_cost_model, register_integrals};
 use sia::subsystems::sim::machine;
 use sia::subsystems::sim::{simulate, SimConfig};
 use sia::{
-    ConstBindings, CrashSchedule, FaultConfig, FaultPlan, Placement, SegmentConfig, Sip, SipConfig,
+    ConstBindings, CrashSchedule, FaultConfig, FaultPlan, SegmentConfig, Sip, SipConfig,
     SuperRegistry,
 };
 use std::path::Path;
@@ -53,9 +53,6 @@ fn usage() -> ExitCode {
            --fault-plan <s>   fault spec: drop=0.05,dup=0.01,delay=0.02,crash=1@8\n\
                               (crash=W@I kills worker W after I pardo iterations)\n\
            --machine <name>   simulate: sun|xt4|xt5|altix|bgp (default xt5)\n\
-           --placement <p>    distributed-block placement: hash (default) or\n\
-                              planned (planner-derived homes + owner-compute\n\
-                              chunk affinity + multicast for broadcast reads)\n\
            --chem             register the synthetic chemistry kernels\n\
            --profile          print the per-instruction profile after a run\n\
            --profile-json <file>  write the machine-readable profile (schema\n\
@@ -215,16 +212,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 )
             }
             "--fault-plan" => fault_spec = Some(need("--fault-plan")?),
-            "--placement" => {
-                let name = need("--placement")?;
-                builder = builder.placement(match name.as_str() {
-                    "hash" => Placement::Hash,
-                    "planned" => Placement::Planned,
-                    other => {
-                        return Err(format!("unknown placement `{other}` (hash|planned)"));
-                    }
-                });
-            }
             "--machine" => {
                 let name = need("--machine")?;
                 machine = match name.as_str() {
@@ -689,8 +676,7 @@ fn main() -> ExitCode {
                         print!("{}", plan.volume_table());
                         if plan.summary.broadcast_blocks > 0 {
                             println!(
-                                "  broadcast-shaped: {} blocks / {} bytes \
-                                 (multicast under --placement planned)",
+                                "  broadcast-shaped: {} blocks / {} bytes (multicast)",
                                 plan.summary.broadcast_blocks, plan.summary.broadcast_bytes
                             );
                         }
@@ -762,11 +748,7 @@ fn main() -> ExitCode {
                     std::sync::Arc::new(p),
                     &opts.bindings,
                     opts.config.segments,
-                    sia::runtime::Topology {
-                        workers: opts.config.workers.max(1),
-                        io_servers: 1,
-                        placement: opts.config.placement,
-                    },
+                    sia::runtime::Topology::new(opts.config.workers.max(1), 1),
                 );
                 let layout = match layout {
                     Ok(l) => l,

@@ -30,8 +30,8 @@
 //!
 //! Submit options: `tenant=<name>` `priority=<n>` `workers=<n>` `io=<n>`
 //! `seg=<n>` `nsub=<n>` `cache=<n>` `bind:<const>=<int>` `threshold=<x>`
-//! `density:<array>=<frac>` `chem=1` `export=0` `placement=planned`
-//! `fault=<spec>@<seed>` (spec as in `sial run --fault-plan`).
+//! `density:<array>=<frac>` `chem=1` `export=0` `fault=<spec>@<seed>`
+//! (spec as in `sial run --fault-plan`).
 
 use sia::runtime::serve::{AdmitError, Daemon, DaemonConfig, JobSpec, JobStatus};
 use sia::subsystems::chem::register_integrals;
@@ -119,11 +119,6 @@ fn parse_submit(file: &str, opts: &[&str]) -> Result<JobSpec, String> {
                 builder =
                     builder.sparsity_threshold(v.parse().map_err(|e| format!("threshold: {e}"))?)
             }
-            "placement" => match v {
-                "hash" => builder = builder.placement(sia::Placement::Hash),
-                "planned" => builder = builder.placement(sia::Placement::Planned),
-                other => return Err(format!("unknown placement `{other}`")),
-            },
             "chem" => chem = v != "0",
             "export" => export = v != "0",
             "fault" => {
