@@ -33,7 +33,7 @@ fn scheduling_ablation() {
         ("single-task chunks", ChunkPolicy::Fixed { size: 1 }),
     ] {
         let mut cfg = SimConfig::sip(CRAY_XT5, procs);
-        cfg.chunk_policy = Some(policy);
+        cfg.chunk_policy = policy;
         let r = simulate(&trace, &cfg);
         let guided = *guided_time.get_or_insert(r.total_time);
         table.row(vec![

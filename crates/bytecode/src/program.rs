@@ -294,14 +294,6 @@ impl Program {
             .map(|i| ScalarId(i as u32))
     }
 
-    /// Looks up a procedure by source name.
-    pub fn proc_by_name(&self, name: &str) -> Option<ProcId> {
-        self.procs
-            .iter()
-            .position(|a| a.name == name)
-            .map(|i| ProcId(i as u32))
-    }
-
     /// Resolves every symbolic constant against `bindings`, returning the
     /// concrete constant table (indexed by [`ConstId`]).
     pub fn resolve_consts(&self, bindings: &ConstBindings) -> Result<Vec<i64>, ResolveError> {

@@ -2,14 +2,17 @@
 //!
 //! * a correct program never gets a runtime finding, at any worker count —
 //!   in particular no `possible barrier misuse` from a home that has not
-//!   yet seen the barrier release its peers already crossed;
+//!   yet seen the barrier release its peers already crossed — nor under a
+//!   seeded lossy fabric, where retries and duplicate suppression are live;
 //! * every copy-on-write copy is counted, with its bytes;
 //! * a configuration whose dry run exceeds the worker pool is refused
 //!   before anything launches.
 
 use sia_bytecode::ConstBindings;
 use sia_chem::register_integrals;
-use sia_runtime::{RunOutput, RuntimeError, SegmentConfig, Sip, SipConfig, SuperRegistry};
+use sia_runtime::{
+    FaultConfig, FaultPlan, RunOutput, RuntimeError, SegmentConfig, Sip, SipConfig, SuperRegistry,
+};
 
 fn program(name: &str) -> sia_bytecode::Program {
     let path = format!("{}/../../programs/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -91,25 +94,58 @@ const CASES: &[Case] = &[
     },
 ];
 
+/// Runs one case and fails on any runtime finding; `label` names the run
+/// in the failure message.
+fn run_clean(case: &Case, workers: usize, fault: Option<FaultPlan>, label: &str) -> RunOutput {
+    let prog = program(case.file);
+    let binds = bindings(case.binds);
+    let mut cfg = config(workers, case.io_servers, 4, case.threshold);
+    cfg.fault = fault.map(FaultConfig::new);
+    cfg.validate().unwrap();
+    let out = chem_sip(cfg, &binds)
+        .run(prog, &binds)
+        .unwrap_or_else(|e| panic!("{} ×{workers}, {label}: {e}", case.file));
+    assert!(
+        out.warnings.is_empty(),
+        "{} with {workers} workers, {label}: {:?}",
+        case.file,
+        out.warnings
+    );
+    out
+}
+
 #[test]
 fn shipped_programs_report_no_findings() {
     for case in CASES {
-        let prog = program(case.file);
-        let binds = bindings(case.binds);
         for workers in [1, 2, 4] {
             for run in 0..case.repeats {
-                let cfg = config(workers, case.io_servers, 4, case.threshold);
-                let out: RunOutput = chem_sip(cfg, &binds)
-                    .run(prog.clone(), &binds)
-                    .unwrap_or_else(|e| panic!("{} ×{workers}: {e}", case.file));
-                assert!(
-                    out.warnings.is_empty(),
-                    "{} with {workers} workers, run {run}: {:?}",
-                    case.file,
-                    out.warnings
-                );
+                run_clean(case, workers, None, &format!("run {run}"));
             }
         }
+    }
+}
+
+#[test]
+fn shipped_programs_report_no_findings_under_seeded_faults() {
+    for case in CASES {
+        // Summed over worker counts and seeds: `triangular.sial` sends only
+        // a handful of remote puts per run.
+        let mut perturbed = 0;
+        for workers in [2, 4] {
+            for seed in 1..=4 {
+                let mut plan = FaultPlan::seeded(seed);
+                plan.drop = 0.05;
+                plan.duplicate = 0.02;
+                plan.delay = 0.05;
+                let out = run_clean(case, workers, Some(plan), &format!("seed {seed}"));
+                perturbed += out.profile.metrics.fabric.perturbed();
+            }
+        }
+        assert!(
+            perturbed > 0,
+            "{}: the fault plan touched no message",
+            case.file
+        );
     }
 }
 

@@ -61,6 +61,8 @@ use std::sync::Arc;
 pub enum SiaError {
     /// SIAL compilation failed.
     Compile(CompileError),
+    /// The configuration is invalid (e.g. a zero segment size).
+    Config(ConfigError),
     /// The SIP rejected or aborted the run.
     Runtime(RuntimeError),
 }
@@ -69,6 +71,7 @@ impl std::fmt::Display for SiaError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SiaError::Compile(e) => write!(f, "{e}"),
+            SiaError::Config(e) => write!(f, "{e}"),
             SiaError::Runtime(e) => write!(f, "{e}"),
         }
     }
@@ -79,6 +82,12 @@ impl std::error::Error for SiaError {}
 impl From<CompileError> for SiaError {
     fn from(e: CompileError) -> Self {
         SiaError::Compile(e)
+    }
+}
+
+impl From<ConfigError> for SiaError {
+    fn from(e: ConfigError) -> Self {
+        SiaError::Config(e)
     }
 }
 
@@ -206,6 +215,7 @@ impl Sia {
 
     /// Runs an already compiled program.
     pub fn run_program(self, program: Program) -> Result<RunOutput, SiaError> {
+        self.config.validate()?;
         Ok(Sip::new(self.config)
             .with_registry(self.registry)
             .run(program, &self.bindings)?)
@@ -214,6 +224,7 @@ impl Sia {
     /// Dry-runs only: the memory estimate without execution.
     pub fn dry_run(self, source: &str) -> Result<MemoryEstimate, SiaError> {
         let program = compile(source)?;
+        self.config.validate()?;
         Ok(Sip::new(self.config).dry_run(program, &self.bindings)?)
     }
 
@@ -221,6 +232,7 @@ impl Sia {
     /// builder's bindings/segments and the given (simulated) topology.
     pub fn trace(self, source: &str, workers: usize, io_servers: usize) -> Result<Trace, SiaError> {
         let program = compile(source)?;
+        self.config.validate()?;
         let layout = Layout::new(
             Arc::new(program),
             &self.bindings,
@@ -286,6 +298,41 @@ endsial
         // Unbound constant.
         let err = Sia::builder().run(SRC).unwrap_err();
         assert!(matches!(err, SiaError::Runtime(_)));
+    }
+
+    /// The facade's setters write the config directly, so each entry point
+    /// validates it: a zero segment size (default or per index kind) or
+    /// worker count is a typed error, not a panic.
+    #[test]
+    fn invalid_config_is_an_error_not_a_panic() {
+        let runs: [fn(Sia) -> Result<(), SiaError>; 3] = [
+            |s| s.run(SRC).map(drop),
+            |s| s.dry_run(SRC).map(drop),
+            |s| s.trace(SRC, 4, 1).map(drop),
+        ];
+        for run in runs {
+            let zero_seg = Sia::builder().segment_size(0).bind("n", 4);
+            assert!(matches!(run(zero_seg), Err(SiaError::Config(_))));
+            let zero_workers = Sia::builder().workers(0).bind("n", 4);
+            assert!(matches!(run(zero_workers), Err(SiaError::Config(_))));
+            let deep_prefetch = Sia::builder()
+                .cache_blocks(2)
+                .prefetch_depth(3)
+                .bind("n", 4);
+            assert!(matches!(run(deep_prefetch), Err(SiaError::Config(_))));
+            let zero_ao = Sia::builder()
+                .config(SipConfig {
+                    segments: SegmentConfig {
+                        ao: Some(0),
+                        ..SegmentConfig::default()
+                    },
+                    ..SipConfig::default()
+                })
+                .bind("n", 4);
+            assert!(matches!(run(zero_ao), Err(SiaError::Config(_))));
+        }
+        let err = Sia::builder().segment_size(0).run(SRC).unwrap_err();
+        assert!(err.to_string().contains("segment size"), "{err}");
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //!
 //! Semantics mirror the MPI subset the SIP uses:
 //!
-//! * [`Endpoint::send`] is `mpi_isend`-like: it never blocks the sender and
-//!   returns a [`SendHandle`] that reports completion (delivery into the
-//!   receiver's queue).
+//! * [`Endpoint::send`] is `mpi_isend`-like: it never blocks the sender;
+//!   delivery into the receiver's queue is immediate in-process.
 //! * [`Endpoint::try_recv`] / [`Endpoint::recv_timeout`] are the
 //!   `mpi_iprobe`/`mpi_recv` pair the SIP's progress loop uses: workers
 //!   "periodically check for messages and process them".
@@ -140,25 +139,6 @@ pub struct Envelope<M> {
     pub msg: M,
 }
 
-/// Completion handle returned by [`Endpoint::send`] (the analogue of the
-/// `MPI_Request` from `mpi_isend`).
-///
-/// Delivery into the receiver's queue is immediate in-process, so the handle
-/// is complete as soon as `send` returns unless the receiver disappeared; it
-/// exists so runtime code keeps the request-based structure of the original
-/// and so tests can assert on delivery.
-#[derive(Debug)]
-pub struct SendHandle {
-    delivered: bool,
-}
-
-impl SendHandle {
-    /// True when the message reached the receiver's queue.
-    pub fn is_complete(&self) -> bool {
-        self.delivered
-    }
-}
-
 /// Why a send failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendErrorKind {
@@ -247,15 +227,15 @@ impl<M: Message> Endpoint<M> {
     /// Nonblocking send (the `mpi_isend` analogue).
     ///
     /// Under a [`FaultPlan`], a faultable message may be silently dropped
-    /// (the handle still reports completion — exactly the failure mode a
-    /// lossy network presents to `mpi_isend`), duplicated, or delayed.
+    /// (the send still succeeds — exactly the failure mode a lossy network
+    /// presents to `mpi_isend`), duplicated, or delayed.
     ///
     /// # Errors
     /// A typed [`SendError`]: [`PeerGone`](SendErrorKind::PeerGone) if the
     /// destination endpoint was dropped, [`Shutdown`](SendErrorKind::Shutdown)
     /// if the fabric-wide shutdown flag is up, and
     /// [`Crashed`](SendErrorKind::Crashed) if this rank was killed.
-    pub fn send(&self, to: Rank, msg: M) -> Result<SendHandle, SendError> {
+    pub fn send(&self, to: Rank, msg: M) -> Result<(), SendError> {
         // Per-link FIFO: anything staged for this destination goes first.
         self.flush_to(to)?;
         self.send_now(to, msg)
@@ -306,8 +286,7 @@ impl<M: Message> Endpoint<M> {
         };
         if msgs.len() == 1 {
             let mut msgs = msgs;
-            self.send_now(to, msgs.pop().unwrap())?;
-            return Ok(());
+            return self.send_now(to, msgs.pop().unwrap());
         }
         let n = msgs.len() as u64;
         match M::batch(msgs) {
@@ -326,7 +305,7 @@ impl<M: Message> Endpoint<M> {
     }
 
     /// The unconditional send path (staging already flushed).
-    fn send_now(&self, to: Rank, msg: M) -> Result<SendHandle, SendError> {
+    fn send_now(&self, to: Rank, msg: M) -> Result<(), SendError> {
         if self.is_crashed() {
             return Err(SendError {
                 to,
@@ -356,11 +335,11 @@ impl<M: Message> Endpoint<M> {
         // the missing reply.
         self.shared.stats[self.rank.0].record_send(to, bytes);
         match verdict {
-            Verdict::Drop => Ok(SendHandle { delivered: true }),
+            Verdict::Drop => Ok(()),
             Verdict::Delay(span) => {
                 let inj = self.injector.as_ref().unwrap();
                 inj.hold(now + span, to.0, env);
-                Ok(SendHandle { delivered: true })
+                Ok(())
             }
             Verdict::Deliver | Verdict::Duplicate => {
                 let dup = if verdict == Verdict::Duplicate {
@@ -377,7 +356,7 @@ impl<M: Message> Endpoint<M> {
                         if let Some(d) = dup {
                             let _ = self.peers[to.0].send(d);
                         }
-                        Ok(SendHandle { delivered: true })
+                        Ok(())
                     }
                     Err(_) => Err(SendError {
                         to,
@@ -487,11 +466,6 @@ impl<M: Message> Endpoint<M> {
     pub fn next_req_id(&self) -> ReqId {
         let n = self.req_seq.fetch_add(1, Ordering::Relaxed) + 1;
         ReqId(((self.rank.0 as u64) << 48) | (n & 0xffff_ffff_ffff))
-    }
-
-    /// This rank's fault counters (all zero on a perfect fabric).
-    pub fn fault_snapshot(&self) -> FaultSnapshot {
-        self.shared.faults[self.rank.0].snapshot()
     }
 
     /// Number of messages waiting in this rank's queue (including parts

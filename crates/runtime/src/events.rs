@@ -636,11 +636,10 @@ impl Json {
 /// Parses a JSON document. Supports the full grammar the runtime's own
 /// writers emit (and standard escapes); errors carry a byte offset.
 pub fn parse_json(s: &str) -> Result<Json, String> {
-    let b = s.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(b, &mut pos)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
+    let v = parse_value(s, &mut pos)?;
+    skip_ws(s.as_bytes(), &mut pos);
+    if pos != s.len() {
         return Err(format!("trailing data at byte {pos}"));
     }
     Ok(v)
@@ -652,7 +651,8 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(s: &str, pos: &mut usize) -> Result<Json, String> {
+    let b = s.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
@@ -666,7 +666,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
+                let key = match parse_value(s, pos)? {
                     Json::Str(s) => s,
                     _ => return Err(format!("object key is not a string at byte {pos}")),
                 };
@@ -675,7 +675,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(s, pos)?;
                 members.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -697,7 +697,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(s, pos)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -709,7 +709,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 }
             }
         }
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
+        Some(b'"') => parse_string(s, pos).map(Json::Str),
         Some(b't') => expect_lit(b, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect_lit(b, pos, "false").map(|()| Json::Bool(false)),
         Some(b'n') => expect_lit(b, pos, "null").map(|()| Json::Null),
@@ -737,7 +737,8 @@ fn expect_lit(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
+    let b = s.as_bytes();
     debug_assert_eq!(b[*pos], b'"');
     *pos += 1;
     let mut out = String::new();
@@ -773,11 +774,13 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let ch = rest.chars().next().unwrap();
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the run of plain characters up to the next quote or
+                // escape. Both are ASCII, so the run ends on a char boundary.
+                let start = *pos;
+                while !matches!(b.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                out.push_str(&s[start..*pos]);
             }
         }
     }
@@ -1235,5 +1238,43 @@ mod tests {
         assert_eq!(arr[2].as_f64(), Some(-300.0));
         assert!(parse_json("{").is_err());
         assert!(parse_json("[1,]").is_err());
+    }
+
+    /// Strings with multi-byte characters and every escape the writer
+    /// emits survive `JsonWriter` → `parse_json`, as keys and as values;
+    /// the escapes the writer never emits still parse.
+    #[test]
+    fn parser_round_trips_escapes_and_multibyte_strings() {
+        let cases = [
+            "",
+            "plain ascii",
+            "quote \" backslash \\ slash /",
+            "nl\n cr\r tab\t bs\u{8} ff\u{c} nul\u{0} us\u{1f}",
+            "é → ∑ 😀 mixed \"é\\😀\"",
+            "😀😀😀",
+            "\\\\\"\"\n\n",
+        ];
+        let mut w = JsonWriter::new();
+        w.begin_array();
+        for c in cases {
+            w.begin_object();
+            w.key(c);
+            w.string(c);
+            w.end_object();
+        }
+        w.end_array();
+        let doc = parse_json(&w.finish()).unwrap();
+        let items = doc.as_array().unwrap();
+        assert_eq!(items.len(), cases.len());
+        for (item, c) in items.iter().zip(cases) {
+            let members = item.as_object().unwrap();
+            assert_eq!(members.len(), 1);
+            assert_eq!(members[0].0, c);
+            assert_eq!(members[0].1.as_str(), Some(c));
+        }
+        let v = parse_json(r#""a\/b\bc\fdé→""#).unwrap();
+        assert_eq!(v.as_str(), Some("a/b\u{8}c\u{c}dé→"));
+        assert!(parse_json(r#""unterminated é"#).is_err());
+        assert!(parse_json(r#""bad \q escape""#).is_err());
     }
 }

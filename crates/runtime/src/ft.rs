@@ -27,6 +27,18 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+/// How long an unacknowledged GET/REQUEST/PUT/PREPARE waits before its
+/// first retry (tuned for in-process fabrics: tens of milliseconds).
+pub(crate) const RETRY_TIMEOUT: Duration = Duration::from_millis(40);
+/// Multiplier applied to the timeout after each retry.
+pub(crate) const RETRY_BACKOFF: f64 = 2.0;
+/// Retries before an operation fails with a `Comm { Timeout }` error.
+pub(crate) const MAX_RETRIES: u32 = 8;
+/// How often workers beacon a heartbeat to the master.
+pub(crate) const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(10);
+/// Silence span after which the master declares a worker dead.
+pub(crate) const LIVENESS_TIMEOUT: Duration = Duration::from_millis(300);
+
 /// A tracked, unacknowledged PUT or PREPARE. The payload is retained so the
 /// operation can be retried (or re-routed to a new home) verbatim; the
 /// handle shares the wire message's allocation, so retention is free.
@@ -157,7 +169,7 @@ impl FtState {
                 mode,
                 served,
                 sent_at: Instant::now(),
-                timeout: self.cfg.retry_timeout,
+                timeout: RETRY_TIMEOUT,
                 attempts: 0,
             },
         );

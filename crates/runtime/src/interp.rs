@@ -889,7 +889,7 @@ impl Worker {
                     "sip_resume_epoch takes exactly one scalar argument".into(),
                 ));
             };
-            self.scalars[id.index()] = self.config.resumed_epochs as f64;
+            self.scalars[id.index()] = self.resume_epoch as f64;
             return Ok(());
         }
 

@@ -14,7 +14,6 @@ use sia_fabric::{FaultPlan, Rank};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A deterministic, runtime-triggered worker crash: worker `worker` kills
 /// its endpoint after executing `after_iterations` pardo iterations. Firing
@@ -28,42 +27,23 @@ pub struct CrashSchedule {
     pub after_iterations: u64,
 }
 
-/// Fault-tolerance configuration: the fabric-level fault plan plus the
-/// runtime's retry, heartbeat, and liveness parameters. Present in
-/// [`SipConfig::fault`] only when the run should exercise recovery paths;
-/// `None` keeps every hot path identical to the fault-free build.
+/// Fault-tolerance configuration: the fabric-level fault plan plus an
+/// optional scheduled crash. Present in [`SipConfig::fault`] only when the
+/// run should exercise recovery paths; `None` keeps every hot path identical
+/// to the fault-free build. Retry, heartbeat and liveness timing are
+/// constants in `ft.rs`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultConfig {
     /// Seeded fabric fault plan (drop/duplicate/delay probabilities).
     pub plan: FaultPlan,
     /// Optional deterministic worker crash.
     pub crash: Option<CrashSchedule>,
-    /// How long an unacknowledged GET/REQUEST/PUT/PREPARE waits before its
-    /// first retry.
-    pub retry_timeout: Duration,
-    /// Multiplier applied to the timeout after each retry.
-    pub retry_backoff: f64,
-    /// Retries before the operation fails with a `Comm { Timeout }` error.
-    pub max_retries: u32,
-    /// How often workers beacon a heartbeat to the master.
-    pub heartbeat_interval: Duration,
-    /// Silence span after which the master declares a worker dead.
-    pub liveness_timeout: Duration,
 }
 
 impl FaultConfig {
-    /// A fault configuration around a seeded plan, with retry/liveness
-    /// parameters tuned for in-process fabrics (tens of milliseconds).
+    /// A fault configuration around a seeded plan, with no scheduled crash.
     pub fn new(plan: FaultPlan) -> Self {
-        FaultConfig {
-            plan,
-            crash: None,
-            retry_timeout: Duration::from_millis(40),
-            retry_backoff: 2.0,
-            max_retries: 8,
-            heartbeat_interval: Duration::from_millis(10),
-            liveness_timeout: Duration::from_millis(300),
-        }
+        FaultConfig { plan, crash: None }
     }
 
     /// True when a worker crash is scheduled (enables epoch checkpointing
@@ -157,38 +137,12 @@ pub struct SipConfig {
     /// (`None` skips the feasibility gate but the estimate is still produced)
     /// and the block manager enforces at runtime.
     pub memory_budget: Option<u64>,
-    /// Guided-scheduling divisor: first chunks are
-    /// `remaining / (chunk_factor * workers)`, shrinking as work drains.
-    /// Ignored when `chunk_policy` is set explicitly.
-    pub chunk_factor: usize,
-    /// Chunk-sizing policy override (`None` = guided with `chunk_factor`).
-    pub chunk_policy: Option<crate::scheduler::ChunkPolicy>,
-    /// Intra-worker thread **count** for the block-contraction GEMM
-    /// (1 = serial). [`SipConfigBuilder::build`] clamps this to the host's
-    /// `available_parallelism`; the pre-clamp request is kept in
-    /// `gemm_threads_requested`.
-    pub gemm_threads: usize,
-    /// The `gemm_threads` value as requested, before the builder clamped it
-    /// to the host parallelism. Equal to `gemm_threads` when no clamp
-    /// applied. The profile report calls out any difference.
-    pub gemm_threads_requested: usize,
-    /// Feed transpose-shaped operand permutations to the GEMM as layout
-    /// flags instead of materializing permuted copies (ablation switch).
-    pub fold_transposes: bool,
-    /// Poll interval (a **`Duration`**; default 1 ms) of service loops that
-    /// are idle but must keep draining messages (e.g. a finished worker
-    /// serving GETs until shutdown).
-    pub service_poll: Duration,
-    /// Poll interval (a **`Duration`**; default 200 µs) while blocked on a
-    /// specific event (block arrival, chunk assignment, barrier release).
-    pub wait_poll: Duration,
+    /// How the master sizes pardo chunks (default: guided, first chunks
+    /// `remaining / (2 × workers)`, shrinking as work drains).
+    pub chunk_policy: crate::scheduler::ChunkPolicy,
     /// Fault injection and recovery; `None` (the default) runs on a perfect
     /// fabric with all recovery machinery disabled.
     pub fault: Option<FaultConfig>,
-    /// Completed served-array epochs read from `run_dir`'s manifest at
-    /// startup; surfaced to programs via `execute sip_resume_epoch s`. Set
-    /// by the runtime, not by users.
-    pub resumed_epochs: u64,
     /// Record per-rank trace events (instruction/wait/comm-flight spans,
     /// cache and recovery events) into preallocated ring buffers, merged
     /// into [`RunOutput::trace`](crate::RunOutput::trace) at shutdown.
@@ -232,15 +186,8 @@ impl Default for SipConfig {
             run_dir: None,
             served_dir: None,
             memory_budget: None,
-            chunk_factor: 2,
-            chunk_policy: None,
-            gemm_threads: 1,
-            gemm_threads_requested: 1,
-            fold_transposes: true,
-            service_poll: Duration::from_millis(1),
-            wait_poll: Duration::from_micros(200),
+            chunk_policy: crate::scheduler::ChunkPolicy::default(),
             fault: None,
-            resumed_epochs: 0,
             trace: false,
             trace_path: None,
             trace_buffer_events: crate::events::DEFAULT_TRACE_EVENTS,
@@ -271,19 +218,93 @@ impl SipConfig {
         }
     }
 
-    /// True when fault tolerance (retry/recovery machinery) is active.
-    pub fn fault_tolerant(&self) -> bool {
-        self.fault.is_some()
-    }
-
     /// True when trace events should be recorded (either the flag or an
     /// export path enables collection).
     pub fn tracing(&self) -> bool {
         self.trace || self.trace_path.is_some()
     }
+
+    /// Checks that the values fit together. [`SipConfigBuilder::build`]
+    /// calls this; so does the `sia-core` facade before it runs, since its
+    /// setters write fields directly.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.workers < 1 {
+            return Err(ConfigError("workers must be ≥ 1".into()));
+        }
+        if self.cache_blocks < 1 {
+            return Err(ConfigError("cache_blocks must be ≥ 1".into()));
+        }
+        let s = &self.segments;
+        if [s.ao, s.mo, s.moa, s.mob, s.la]
+            .into_iter()
+            .flatten()
+            .chain([s.default])
+            .any(|n| n < 1)
+        {
+            return Err(ConfigError("segment size must be ≥ 1".into()));
+        }
+        if s.nsub < 1 {
+            return Err(ConfigError("nsub must be ≥ 1".into()));
+        }
+        if self.prefetch_depth > self.cache_blocks {
+            return Err(ConfigError(format!(
+                "prefetch_depth {} exceeds cache_blocks {}; the prefetcher \
+                 would evict its own in-flight blocks",
+                self.prefetch_depth, self.cache_blocks
+            )));
+        }
+        if self.pool_bytes == 0 {
+            return Err(ConfigError("pool_bytes must be nonzero".into()));
+        }
+        if self.tracing() && self.trace_buffer_events < 16 {
+            return Err(ConfigError(
+                "trace_buffer_events must be ≥ 16 when tracing".into(),
+            ));
+        }
+        if !self.sparsity_threshold.is_finite() || self.sparsity_threshold < 0.0 {
+            return Err(ConfigError(format!(
+                "sparsity_threshold must be finite and ≥ 0, got {}",
+                self.sparsity_threshold
+            )));
+        }
+        for (name, d) in &self.sparsity_density {
+            if !d.is_finite() || !(0.0..=1.0).contains(d) {
+                return Err(ConfigError(format!(
+                    "sparsity_density for `{name}` must be in 0.0..=1.0, got {d}"
+                )));
+            }
+        }
+        if let Some(f) = &self.fault {
+            let world = 1 + self.workers + self.io_servers;
+            f.plan
+                .validate(world)
+                .map_err(|e| ConfigError(format!("fault plan: {e}")))?;
+            if f.plan.seed == 0 && f.plan.is_active() {
+                return Err(ConfigError(
+                    "an active fault plan needs an explicit nonzero seed so \
+                     failures reproduce"
+                        .into(),
+                ));
+            }
+            if let Some(crash) = &f.crash {
+                if crash.worker >= self.workers {
+                    return Err(ConfigError(format!(
+                        "crash schedule targets worker {} of {}",
+                        crash.worker, self.workers
+                    )));
+                }
+                if self.workers < 2 {
+                    return Err(ConfigError(
+                        "crash recovery needs at least 2 workers".into(),
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
-/// Invalid [`SipConfig`] reported by [`SipConfigBuilder::build`].
+/// Invalid [`SipConfig`] reported by [`SipConfig::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError(pub String);
 
@@ -377,39 +398,9 @@ impl SipConfigBuilder {
         self
     }
 
-    /// Guided-scheduling divisor.
-    pub fn chunk_factor(mut self, n: usize) -> Self {
-        self.config.chunk_factor = n;
-        self
-    }
-
-    /// Chunk-sizing policy override.
+    /// Pardo chunk-sizing policy.
     pub fn chunk_policy(mut self, p: crate::scheduler::ChunkPolicy) -> Self {
-        self.config.chunk_policy = Some(p);
-        self
-    }
-
-    /// Intra-worker threads for the block-contraction GEMM.
-    pub fn gemm_threads(mut self, n: usize) -> Self {
-        self.config.gemm_threads = n;
-        self
-    }
-
-    /// Transpose-folding ablation switch.
-    pub fn fold_transposes(mut self, yes: bool) -> Self {
-        self.config.fold_transposes = yes;
-        self
-    }
-
-    /// Idle service-loop poll interval.
-    pub fn service_poll(mut self, d: Duration) -> Self {
-        self.config.service_poll = d;
-        self
-    }
-
-    /// Blocked-wait poll interval.
-    pub fn wait_poll(mut self, d: Duration) -> Self {
-        self.config.wait_poll = d;
+        self.config.chunk_policy = p;
         self
     }
 
@@ -461,98 +452,8 @@ impl SipConfigBuilder {
 
     /// Validates and produces the config.
     pub fn build(self) -> Result<SipConfig, ConfigError> {
-        let mut c = self.config;
-        if c.workers < 1 {
-            return Err(ConfigError("workers must be ≥ 1".into()));
-        }
-        if c.gemm_threads < 1 {
-            return Err(ConfigError("gemm_threads must be ≥ 1".into()));
-        }
-        // Clamp the GEMM thread count to what the host can actually run;
-        // oversubscribing the band-parallel kernel only adds scheduling
-        // noise. The request is preserved so the profile report can call
-        // out the clamp.
-        c.gemm_threads_requested = c.gemm_threads;
-        let avail = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        c.gemm_threads = c.gemm_threads.min(avail);
-        if c.cache_blocks < 1 {
-            return Err(ConfigError("cache_blocks must be ≥ 1".into()));
-        }
-        if c.segments.default < 1 {
-            return Err(ConfigError("segment size must be ≥ 1".into()));
-        }
-        if c.segments.nsub < 1 {
-            return Err(ConfigError("nsub must be ≥ 1".into()));
-        }
-        if c.prefetch_depth > c.cache_blocks {
-            return Err(ConfigError(format!(
-                "prefetch_depth {} exceeds cache_blocks {}; the prefetcher \
-                 would evict its own in-flight blocks",
-                c.prefetch_depth, c.cache_blocks
-            )));
-        }
-        if c.pool_bytes == 0 {
-            return Err(ConfigError("pool_bytes must be nonzero".into()));
-        }
-        if c.chunk_factor == 0 {
-            return Err(ConfigError("chunk_factor must be ≥ 1".into()));
-        }
-        if c.service_poll.is_zero() || c.wait_poll.is_zero() {
-            return Err(ConfigError("poll intervals must be nonzero".into()));
-        }
-        if c.tracing() && c.trace_buffer_events < 16 {
-            return Err(ConfigError(
-                "trace_buffer_events must be ≥ 16 when tracing".into(),
-            ));
-        }
-        if !c.sparsity_threshold.is_finite() || c.sparsity_threshold < 0.0 {
-            return Err(ConfigError(format!(
-                "sparsity_threshold must be finite and ≥ 0, got {}",
-                c.sparsity_threshold
-            )));
-        }
-        for (name, d) in &c.sparsity_density {
-            if !d.is_finite() || !(0.0..=1.0).contains(d) {
-                return Err(ConfigError(format!(
-                    "sparsity_density for `{name}` must be in 0.0..=1.0, got {d}"
-                )));
-            }
-        }
-        if let Some(f) = &c.fault {
-            let world = 1 + c.workers + c.io_servers;
-            f.plan
-                .validate(world)
-                .map_err(|e| ConfigError(format!("fault plan: {e}")))?;
-            if f.plan.seed == 0 && f.plan.is_active() {
-                return Err(ConfigError(
-                    "an active fault plan needs an explicit nonzero seed so \
-                     failures reproduce"
-                        .into(),
-                ));
-            }
-            if let Some(crash) = &f.crash {
-                if crash.worker >= c.workers {
-                    return Err(ConfigError(format!(
-                        "crash schedule targets worker {} of {}",
-                        crash.worker, c.workers
-                    )));
-                }
-                if c.workers < 2 {
-                    return Err(ConfigError(
-                        "crash recovery needs at least 2 workers".into(),
-                    ));
-                }
-            }
-            if f.retry_backoff < 1.0 {
-                return Err(ConfigError("retry_backoff must be ≥ 1.0".into()));
-            }
-            if f.retry_timeout.is_zero() {
-                return Err(ConfigError("retry_timeout must be nonzero".into()));
-            }
-        }
-        Ok(c)
+        self.config.validate()?;
+        Ok(self.config)
     }
 }
 
@@ -1134,26 +1035,5 @@ mod tests {
             assert!(s.0 >= 4 && s.0 <= 5);
             assert_eq!(s, t.home_of_served(&k));
         }
-    }
-
-    /// The builder clamps an oversubscribed GEMM thread request to the
-    /// host's parallelism while preserving the request for the profile
-    /// report, and a sane request passes through unchanged.
-    #[test]
-    fn gemm_threads_clamped_to_host_parallelism() {
-        let avail = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-
-        let absurd = avail * 64 + 1;
-        let c = SipConfig::builder().gemm_threads(absurd).build().unwrap();
-        assert_eq!(c.gemm_threads, avail, "clamped to host parallelism");
-        assert_eq!(c.gemm_threads_requested, absurd, "request preserved");
-
-        let c = SipConfig::builder().gemm_threads(1).build().unwrap();
-        assert_eq!(c.gemm_threads, 1);
-        assert_eq!(c.gemm_threads_requested, 1);
-
-        assert!(SipConfig::builder().gemm_threads(0).build().is_err());
     }
 }

@@ -114,7 +114,6 @@ pub mod prelude {
 use sia_blocks::Block;
 use sia_bytecode::{ConstBindings, Program};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Fabric traffic totals for a run.
@@ -172,11 +171,6 @@ impl Sip {
     /// I/O servers share the cross-job warm block cache.
     pub fn set_serving(&mut self, handles: serve::ServeHandles) {
         self.serving = Some(handles);
-    }
-
-    /// Mutable access to the super-instruction registry.
-    pub fn registry_mut(&mut self) -> &mut SuperRegistry {
-        &mut self.registry
     }
 
     /// Replaces the registry wholesale.
@@ -267,7 +261,7 @@ impl Sip {
         // behind (surfaced to programs via `execute sip_resume_epoch s`).
         let mut worker_config = self.config.clone();
         worker_config.run_dir = Some(run_dir.clone());
-        worker_config.resumed_epochs = master::read_epoch_manifest(&run_dir);
+        let resume_epoch = master::read_epoch_manifest(&run_dir);
 
         // ---- spawn the virtual machine -----------------------------------------
         let fault_plan = self.config.fault.as_ref().map(|f| f.plan.clone());
@@ -280,16 +274,10 @@ impl Sip {
         let worker_eps: Vec<_> = endpoints.split_off(1);
         let master_ep = endpoints.pop().expect("master endpoint");
 
-        let chunk_policy = self
-            .config
-            .chunk_policy
-            .unwrap_or(scheduler::ChunkPolicy::Guided {
-                factor: self.config.chunk_factor,
-            });
         let mut master = master::Master::new(
             Arc::clone(&layout),
             master_ep,
-            chunk_policy,
+            self.config.chunk_policy,
             run_dir.clone(),
             self.config.fault.clone(),
         );
@@ -325,6 +313,7 @@ impl Sip {
                 scope.spawn(move || {
                     let mut w = worker::Worker::new(layout, config, ep, registry);
                     w.set_plan(plan);
+                    w.resume_epoch = resume_epoch;
                     if trace_on {
                         w.set_trace(mk_sink());
                     }
@@ -396,13 +385,6 @@ impl Sip {
         profile.metrics.plan.predicted_bytes = comm_plan.volume.total();
         profile.metrics.plan.actual_bytes = stats.total_bytes_sent();
         profile.dry_run_estimate_bytes = estimate.per_worker_bytes;
-        profile.gemm_threads = self.config.gemm_threads;
-        // A config built without the builder never recorded a request;
-        // treat the effective value as the request in that case.
-        profile.gemm_threads_requested = self
-            .config
-            .gemm_threads_requested
-            .max(self.config.gemm_threads);
 
         // ---- merged trace timeline -------------------------------------------
         let trace = if trace_on {
@@ -488,11 +470,6 @@ impl Sip {
                 .plan();
         Ok((estimate, plan))
     }
-}
-
-/// Convenience: compile-free run directory default used by examples.
-pub fn default_run_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("sia-{tag}-{}", std::process::id()))
 }
 
 fn run_worker(w: &mut worker::Worker, collect: bool) {

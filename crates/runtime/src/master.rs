@@ -591,11 +591,10 @@ impl Master {
                 if track && !pending.is_empty() {
                     // Restore puts ride the faultable data plane: hold the
                     // release until every one is acknowledged (retrying).
-                    let f = self.fault.as_ref().unwrap();
                     self.flight = Some(PutFlight {
                         pending,
                         sent_at: Instant::now(),
-                        timeout: f.retry_timeout,
+                        timeout: ft::RETRY_TIMEOUT,
                         attempts: 0,
                         then: AfterFlight::CkptRelease { label },
                     });
@@ -625,12 +624,6 @@ impl Master {
         let Some(f) = &self.fault else {
             return Ok(());
         };
-        let (liveness, retry_timeout, backoff, max_retries) = (
-            f.liveness_timeout,
-            f.retry_timeout,
-            f.retry_backoff,
-            f.max_retries,
-        );
         // The liveness monitor only arms when a crash is plausible: workers
         // inside long serial kernels do not beat, and a drop-only plan must
         // never false-positive a healthy rank.
@@ -638,7 +631,7 @@ impl Master {
             for w in 0..self.workers() {
                 if self.alive[w]
                     && self.done[w].is_none()
-                    && self.last_seen[w].elapsed() > liveness
+                    && self.last_seen[w].elapsed() > ft::LIVENESS_TIMEOUT
                     && !self.pending_deaths.contains(&w)
                 {
                     self.pending_deaths.push_back(w);
@@ -647,7 +640,7 @@ impl Master {
         }
         if self.flight.is_none() {
             if let Some(w) = self.pending_deaths.pop_front() {
-                self.start_recovery(w, retry_timeout)?;
+                self.start_recovery(w)?;
             }
         }
         if self.flight.as_ref().is_some_and(|fl| fl.pending.is_empty()) {
@@ -660,7 +653,7 @@ impl Master {
         if let Some(fl) = &mut self.flight {
             if fl.sent_at.elapsed() > fl.timeout {
                 fl.attempts += 1;
-                if fl.attempts > max_retries {
+                if fl.attempts > ft::MAX_RETRIES {
                     let home = fl
                         .pending
                         .values()
@@ -675,7 +668,7 @@ impl Master {
                     });
                 }
                 fl.sent_at = Instant::now();
-                fl.timeout = fl.timeout.mul_f64(backoff);
+                fl.timeout = fl.timeout.mul_f64(ft::RETRY_BACKOFF);
                 for (key, (home, data)) in &fl.pending {
                     let _ = self.endpoint.send(
                         *home,
@@ -697,7 +690,7 @@ impl Master {
     /// starts restoring its last epoch checkpoint to the surviving homes.
     /// `RankDead` is broadcast only once the restore fully acks, so
     /// survivors never replay journals onto pre-restore state.
-    fn start_recovery(&mut self, widx: usize, retry_timeout: Duration) -> Result<(), RuntimeError> {
+    fn start_recovery(&mut self, widx: usize) -> Result<(), RuntimeError> {
         let dead_rank = self.layout.topology.worker(widx);
         self.alive[widx] = false;
         self.recovery.ranks_died += 1;
@@ -784,7 +777,7 @@ impl Master {
             self.flight = Some(PutFlight {
                 pending,
                 sent_at: Instant::now(),
-                timeout: retry_timeout,
+                timeout: ft::RETRY_TIMEOUT,
                 attempts: 0,
                 then: AfterFlight::Recovery {
                     dead_widx: widx,

@@ -367,7 +367,8 @@ pub struct JobSpec {
     pub bindings: ConstBindings,
     /// The per-job SIP configuration. The daemon overrides `run_dir` (a
     /// private per-job directory), `served_dir` (the shared served store),
-    /// and — when `export` is set — `trace_path`/`profile_json`.
+    /// `chunk_policy` (guided ÷16, for fine-grained fair-share grants), and
+    /// — when `export` is set — `trace_path`/`profile_json`.
     pub config: SipConfig,
     /// Super-instruction registry for the job (e.g. the chem kernels).
     pub registry: SuperRegistry,
@@ -589,9 +590,7 @@ impl Daemon {
         // chunk boundaries, and the default guided factor hands out most of
         // a pardo in the first few chunks — far coarser than the 5% share
         // slack. A higher factor keeps chunks a few percent of the space.
-        if spec.config.chunk_policy.is_none() {
-            spec.config.chunk_policy = Some(crate::scheduler::ChunkPolicy::Guided { factor: 16 });
-        }
+        spec.config.chunk_policy = crate::scheduler::ChunkPolicy::Guided { factor: 16 };
 
         // Per-job layout under the data dir.
         let job_dir = self.cfg.data_dir.join("jobs").join(id.to_string());

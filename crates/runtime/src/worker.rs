@@ -17,13 +17,20 @@ use crate::msg::{BarrierKind, BlockKey, OpId, SipMsg};
 use crate::plan::CommPlan;
 use crate::profile::WorkerProfile;
 use crate::registry::SuperRegistry;
-use sia_blocks::{Block, BlockHandle, BlockPool, ContractCtx, Custody, GemmConfig, PoolConfig};
+use sia_blocks::{Block, BlockHandle, BlockPool, ContractCtx, Custody, PoolConfig};
 use sia_bytecode::{ArrayId, ArrayKind, IndexId, PutMode};
 use sia_fabric::{Endpoint, Rank, ReqId};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Poll interval of service loops that are idle but must keep draining
+/// messages (e.g. a finished worker serving GETs until shutdown).
+const SERVICE_POLL: Duration = Duration::from_millis(1);
+/// Poll interval while blocked on a specific event (block arrival, chunk
+/// assignment, barrier release).
+const WAIT_POLL: Duration = Duration::from_micros(200);
 
 /// How a block access treats a non-resident block: issue the fetch and
 /// return immediately (`get`/`request`/prefetch), or block until the data
@@ -98,9 +105,9 @@ pub struct Worker {
     pub(crate) temps: HashMap<ArrayId, (BlockKey, BlockHandle)>,
     /// Pool recycling temp-block storage.
     pub(crate) pool: BlockPool,
-    /// Contraction context: scratch drawn from `pool`, GEMM tuning and
-    /// transpose-folding policy from the run config, plus hot-path counters
-    /// that land in the profile.
+    /// Contraction context: scratch drawn from `pool`, the default
+    /// (single-threaded, transpose-folding) GEMM set-up, plus hot-path
+    /// counters that land in the profile.
     pub(crate) contract_ctx: ContractCtx,
     /// Named scalar values.
     pub(crate) scalars: Vec<f64>,
@@ -129,6 +136,10 @@ pub struct Worker {
     /// Resolved run directory for epoch checkpoints (set by the runtime on
     /// fault-tolerant runs).
     pub(crate) run_dir: Option<PathBuf>,
+    /// Completed served-array epochs a previous, interrupted run left in
+    /// `run_dir`'s manifest (set by the runtime before the program starts;
+    /// surfaced to programs via `execute sip_resume_epoch s`).
+    pub(crate) resume_epoch: u64,
     /// Total pardo iterations executed (drives the deterministic crash
     /// schedule).
     pub(crate) pardo_iters_done: u64,
@@ -196,9 +207,7 @@ impl Worker {
         let cache_bytes = (config.cache_blocks as u64 * layout.largest_remote_block_bytes()).max(1);
         Worker {
             mem: BlockManager::new(cache_bytes, config.memory_budget),
-            contract_ctx: ContractCtx::with_pool(pool.clone())
-                .gemm(GemmConfig::with_threads(config.gemm_threads))
-                .fold_transposes(config.fold_transposes),
+            contract_ctx: ContractCtx::with_pool(pool.clone()),
             pool,
             layout,
             config,
@@ -219,6 +228,7 @@ impl Worker {
             shutdown_seen: false,
             ft,
             run_dir,
+            resume_epoch: 0,
             pardo_iters_done: 0,
             op_seq: 0,
             dist_epoch: 0,
@@ -284,7 +294,7 @@ impl Worker {
             }
             self.maybe_heartbeat();
             let _ = self.pump_retries();
-            if let Some(env) = self.endpoint.recv_timeout(self.config.service_poll) {
+            if let Some(env) = self.endpoint.recv_timeout(SERVICE_POLL) {
                 let src = env.src;
                 self.handle(src, env.msg);
                 self.flush_forwards();
@@ -906,7 +916,7 @@ impl Worker {
                 });
             }
             // Block briefly on the inbox rather than spinning.
-            if let Some(env) = self.endpoint.recv_timeout(self.config.wait_poll) {
+            if let Some(env) = self.endpoint.recv_timeout(WAIT_POLL) {
                 let src = env.src;
                 self.handle(src, env.msg);
                 self.flush_forwards();
@@ -1073,14 +1083,13 @@ impl Worker {
         };
         self.profile.metrics.comm.fetches += 1;
         if let Some(ft) = self.ft.as_mut() {
-            let timeout = ft.cfg.retry_timeout;
             ft.fetches.insert(
                 key,
                 FetchState {
                     req,
                     served: kind == ArrayKind::Served,
                     sent_at: Instant::now(),
-                    timeout,
+                    timeout: ft::RETRY_TIMEOUT,
                     attempts: 0,
                 },
             );
@@ -1568,8 +1577,6 @@ impl Worker {
         }
         let now = Instant::now();
         let epoch = self.dist_epoch;
-        let max_retries = ft.cfg.max_retries;
-        let backoff = ft.cfg.retry_backoff;
         let layout = &self.layout;
         let mut resend: Vec<(Rank, SipMsg)> = Vec::new();
         let mut put_retries = 0u64;
@@ -1583,7 +1590,7 @@ impl Worker {
             } else {
                 layout.home_of_distributed_excluding(&p.key, &ft.dead)
             };
-            if p.attempts >= max_retries {
+            if p.attempts >= ft::MAX_RETRIES {
                 return Err(RuntimeError::Comm {
                     kind: CommKind::Timeout,
                     rank: home,
@@ -1597,7 +1604,7 @@ impl Worker {
             }
             p.attempts += 1;
             p.sent_at = now;
-            p.timeout = p.timeout.mul_f64(backoff);
+            p.timeout = p.timeout.mul_f64(ft::RETRY_BACKOFF);
             if p.served {
                 prepare_retries += 1;
             } else {
@@ -1620,7 +1627,7 @@ impl Worker {
             } else {
                 layout.home_of_distributed_excluding(key, &ft.dead)
             };
-            if f.attempts >= max_retries {
+            if f.attempts >= ft::MAX_RETRIES {
                 return Err(RuntimeError::Comm {
                     kind: CommKind::Timeout,
                     rank: home,
@@ -1634,7 +1641,7 @@ impl Worker {
             }
             f.attempts += 1;
             f.sent_at = now;
-            f.timeout = f.timeout.mul_f64(backoff);
+            f.timeout = f.timeout.mul_f64(ft::RETRY_BACKOFF);
             fetch_retries += 1;
             refreshed.push(*key);
             let msg = if f.served {
@@ -1671,7 +1678,7 @@ impl Worker {
         let Some(ft) = self.ft.as_mut() else {
             return;
         };
-        if ft.crashed || ft.last_beat.elapsed() < ft.cfg.heartbeat_interval {
+        if ft.crashed || ft.last_beat.elapsed() < ft::HEARTBEAT_INTERVAL {
             return;
         }
         ft.last_beat = Instant::now();
@@ -1795,7 +1802,6 @@ impl Worker {
         for op in inherited_ops {
             ft.applied.entry(op).or_insert(epoch);
         }
-        let retry_timeout = ft.cfg.retry_timeout;
         let mut sends: Vec<(Rank, SipMsg)> = Vec::new();
         // Replay this epoch's puts that were homed at the corpse. The
         // master restored the corpse's last checkpoint to the new homes
@@ -1826,7 +1832,7 @@ impl Worker {
             }
             let new_home = layout.home_of_distributed_excluding(key, &ft.dead);
             f.sent_at = Instant::now();
-            f.timeout = retry_timeout;
+            f.timeout = ft::RETRY_TIMEOUT;
             f.attempts = 0;
             reroutes += 1;
             sends.push((

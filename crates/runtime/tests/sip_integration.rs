@@ -848,7 +848,7 @@ endsial
 "#;
     let program = sial_frontend::compile(src).unwrap();
     let mut cfg = config(3);
-    cfg.chunk_policy = Some(sia_runtime::scheduler::ChunkPolicy::Fixed { size: 2 });
+    cfg.chunk_policy = sia_runtime::scheduler::ChunkPolicy::Fixed { size: 2 };
     let out = Sip::new(cfg).run(program, &bindings(&[("n", 11)])).unwrap();
     assert!((out.scalars["count"] - 11.0).abs() < 1e-12);
     assert_eq!(out.profile.iterations, 11);

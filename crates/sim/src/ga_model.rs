@@ -17,6 +17,7 @@
 
 use crate::machine::MachineModel;
 use crate::sip_model::{simulate, SimConfig, SimReport};
+use sia_runtime::scheduler::ChunkPolicy;
 use sia_runtime::trace::Trace;
 
 /// GA-baseline configuration.
@@ -102,8 +103,7 @@ pub fn simulate_ga(trace: &Trace, cfg: &GaConfig, dist_bytes_total: u64) -> GaOu
         machine,
         prefetch_depth: 0,
         cache_blocks: 1,
-        chunk_factor: 2,
-        chunk_policy: None,
+        chunk_policy: ChunkPolicy::default(),
         per_transfer_overhead: cfg.per_transfer_overhead,
     };
     GaOutcome::Completed(simulate(trace, &sim_cfg))
